@@ -64,9 +64,7 @@ from .dsr import (
     CoreTwinCertificate,
     DominationCore,
     InfeasibleInstanceError,
-    check_twinless_bound,
     compute_bounded_core,
-    kernel_size_cap,
     kernelize_dsr,
     remove_core_twins,
     solve_dsr,

@@ -59,6 +59,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(lo: int):
+    """An argparse ``type=`` for integers >= lo; a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive, _non_negative = _at_least(1), _at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--verbose", action="store_true", help="log diagnostics")
@@ -72,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     def add_quasiwide_flags(p):
-        p.add_argument("--class-threshold", type=int, default=32)
-        p.add_argument("--max-deletions", type=int, default=2)
-        p.add_argument("--search-budget", type=int, default=10_000)
+        p.add_argument("--class-threshold", type=_positive, default=32)
+        p.add_argument("--max-deletions", type=_non_negative, default=2)
+        p.add_argument("--search-budget", type=_positive, default=10_000)
 
     p = sub.add_parser("solve", parents=[common],
                        help="decide an instance and emit a report")
@@ -84,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "degenerate", "quasiwide", "oracle"],
         default="auto",
     )
-    p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+    p.add_argument("--state-budget", type=_positive, default=DEFAULT_STATE_BUDGET)
     add_quasiwide_flags(p)
     add_out(p)
 
@@ -105,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common],
                        help="generate a random planted instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--d", type=_positive, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problem", choices=["isr", "dsr"], default="isr")
     add_out(p)

@@ -3,22 +3,21 @@
 A core is a vertex set C such that, for every candidate set of size at most
 k+1, dominating C is equivalent to dominating the whole graph.  Sets in a
 reconfiguration sequence never exceed k+1 vertices, so the size-bounded core
-property is exactly what the correctness argument consumes.  Vertices outside
-the core and the endpoint sets that share their core-neighborhood with
-another such vertex are strongly irrelevant: deleting them preserves not just
-the answer but shortest sequence lengths.
+property is exactly what the correctness argument consumes.  The core is
+shrunk greedily from V; each removal test is a search tree of depth k+1 over
+closed-neighborhood bitmasks, whose branching factor is the number of
+dominators of the least-dominated needed vertex (two for a pendant leaf).
+Vertices outside the core and the endpoint sets that share their
+core-neighborhood with another such vertex are strongly irrelevant: deleting
+them preserves not just the answer but shortest sequence lengths.
 """
 
 from __future__ import annotations
 
-import itertools
-import logging
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, contains_biclique
+from .graph import Graph
 from .instances import (
     RULE_CORE_TWIN,
     Instance,
@@ -33,13 +32,9 @@ __all__ = [
     "CoreTwinCertificate",
     "compute_bounded_core",
     "remove_core_twins",
-    "check_twinless_bound",
-    "kernel_size_cap",
     "kernelize_dsr",
     "solve_dsr",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class InfeasibleInstanceError(ValueError):
@@ -61,67 +56,62 @@ class CoreTwinCertificate:
     shared_core_neighborhood: frozenset[int]
 
 
-def _unique_cover_masks(
-    g: Graph, k: int
-) -> tuple[list[int], int, dict[int, int], bool]:
-    """Unique domination masks over all vertex subsets of size <= k+1.
+def _dominated(closed: list[int], needed: int, allowed: int, budget: int) -> bool:
+    """Whether at most ``budget`` vertices of ``allowed`` dominate ``needed``.
 
-    Also reports whether some subset of size <= k dominates everything.
+    Bounded search tree over closed-neighborhood bitmasks: branch on the
+    needed vertex with the fewest dominators in ``allowed``; one with none
+    ends the branch.  A dominator already tried is left out of later siblings.
     """
-    verts = g.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    closed = []
-    for v in verts:
-        mask = 1 << pos[v]
-        for w in g.neighbor_set(v):
-            mask |= 1 << pos[w]
-        closed.append(mask)
-    full = (1 << len(verts)) - 1
-    covers: set[int] = set()
-    feasible = False
-    for size in range(k + 2):
-        for combo in itertools.combinations(range(len(verts)), size):
-            mask = 0
-            for i in combo:
-                mask |= closed[i]
-            covers.add(mask)
-            if size <= k and mask == full:
-                feasible = True
-    return sorted(covers), full, pos, feasible
+    if not needed:
+        return True
+    if not budget:
+        return False
+    best, best_count = 0, -1
+    rest = needed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cands = closed[low.bit_length() - 1] & allowed
+        count = cands.bit_count()
+        if not count:
+            return False
+        if best_count < 0 or count < best_count:
+            best, best_count = cands, count
+    while best:
+        low = best & -best
+        best ^= low
+        if _dominated(closed, needed & ~closed[low.bit_length() - 1], allowed, budget - 1):
+            return True
+        allowed ^= low
+    return False
 
 
 def compute_bounded_core(g: Graph, k: int) -> DominationCore:
     """Greedily shrink C from V while the bounded core property is preserved.
 
-    A vertex w leaves C when every set of size at most k+1 that dominates
-    C minus w also dominates w, verified by brute-force enumeration (the
-    domination masks of all small subsets are memoized once).  Raises
-    InfeasibleInstanceError when the graph has no dominating set of size <= k.
+    In ascending vertex order, w leaves C when no set of at most k+1 vertices
+    outside N[w] dominates C minus w, decided by a search tree of depth k+1.
+    One pass suffices: a witness that keeps w also keeps it for every smaller
+    C.  Raises InfeasibleInstanceError when the graph has no dominating set of
+    size <= k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    covers, full, pos, feasible = _unique_cover_masks(g, k)
-    if not feasible:
-        raise InfeasibleInstanceError(f"graph has no dominating set of size <= {k}")
     verts = g.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    closed = [
+        sum(1 << pos[w] for w in g.closed_neighbor_set(v)) for v in verts
+    ]
+    full = (1 << len(verts)) - 1
+    if not _dominated(closed, full, full, k):
+        raise InfeasibleInstanceError(f"graph has no dominating set of size <= {k}")
     core_mask = full
-    changed = True
-    while changed:
-        changed = False
-        for v in verts:
-            bit = 1 << pos[v]
-            if not core_mask & bit:
-                continue
-            needed = core_mask & ~bit
-            removable = True
-            for cover in covers:
-                if cover & needed == needed and not cover & bit:
-                    removable = False
-                    break
-            if removable:
-                core_mask &= ~bit
-                changed = True
-    core = frozenset(v for v in verts if core_mask >> pos[v] & 1)
+    for i, mask in enumerate(closed):
+        bit = 1 << i
+        if not _dominated(closed, core_mask & ~bit, full & ~mask, k + 1):
+            core_mask &= ~bit
+    core = frozenset(v for i, v in enumerate(verts) if core_mask >> i & 1)
     return DominationCore(core=core, size_bound_cap=k + 1)
 
 
@@ -161,60 +151,20 @@ def remove_core_twins(
     return inst.with_graph(g), log
 
 
-def check_twinless_bound(
-    core_side: Iterable[int], twin_side: Iterable[int], d: int
-) -> bool:
-    """Diagnostic size bound for the twinless side of a biclique-free bipartite graph.
-
-    Returns whether |B| <= 2(d-1) * (|A| e / d)^(2d).  A false return on a
-    genuinely K_{d,d}-free input signals a bug; inputs containing K_{d,d} may
-    legitimately fail.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    a = len(frozenset(core_side))
-    b = len(frozenset(twin_side))
-    bound = 2 * (d - 1) * (a * math.e / d) ** (2 * d)
-    return b <= bound
-
-
-def kernel_size_cap(d: int, k: int) -> int:
-    """Kernel size diagnostic for graphs without K_{d,d} subgraphs."""
-    return d * k**d + 2 * k + 2 * d * (3 * d * k**d) ** (2 * d)
-
-
 def kernelize_dsr(inst: Instance) -> tuple[Instance, ReductionLog, DominationCore]:
     core = compute_bounded_core(inst.graph, inst.k)
     kernel, log = remove_core_twins(inst, core)
     return kernel, log, core
 
 
-def solve_dsr(
-    inst: Instance, budget: int = DEFAULT_STATE_BUDGET, d: int | None = None
-) -> SolveResult:
+def solve_dsr(inst: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
     """Core computation, strong-irrelevance removal, then kernel search.
 
     Because only strongly irrelevant vertices are deleted, a yes-sequence is
-    shortest for the original instance, and it is valid there as well.  When a
-    ``d`` with no K_{d,d} subgraph is supplied, kernel-size diagnostics are
-    logged (never asserted: the greedy core is not claimed minimum).
+    shortest for the original instance, and it is valid there as well.
     """
     if inst.problem is not Problem.DSR:
         raise ValueError("solve_dsr applies to DSR instances only")
-    kernel, log, core = kernelize_dsr(inst)
-    if d is not None:
-        if contains_biclique(inst.graph, d):
-            logger.info("graph contains K_{%d,%d}; size diagnostics skipped", d, d)
-        else:
-            core_cap = d * inst.k**d
-            cap = kernel_size_cap(d, inst.k)
-            logger.info(
-                "core size %d (cap %d), kernel %d vertices (cap %d) for d=%d",
-                len(core.core),
-                core_cap,
-                kernel.graph.n,
-                cap,
-                d,
-            )
+    kernel, log, _core = kernelize_dsr(inst)
     outcome = bfs_reconfig(kernel, budget)
     return SolveResult(outcome=outcome, log=log, kernel=kernel)

@@ -14,6 +14,7 @@ from collections import deque
 
 from tokenjump import (
     Graph,
+    InfeasibleInstanceError,
     Instance,
     Problem,
     SetFamily,
@@ -119,6 +120,57 @@ def check_reduction_log(inst: Instance, log, kernel_graph: Graph) -> None:
             raise AssertionError(f"unknown rule {step.rule!r}")
         g = g.delete_vertex(step.vertex)
     assert g == kernel_graph
+
+
+def unique_cover_masks(g: Graph, k: int) -> tuple[list[int], int, dict[int, int], bool]:
+    """Unique domination masks over all vertex subsets of size <= k+1.
+
+    Also reports whether some subset of size <= k dominates everything.
+    """
+    verts = g.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    closed = []
+    for v in verts:
+        mask = 1 << pos[v]
+        for w in g.neighbor_set(v):
+            mask |= 1 << pos[w]
+        closed.append(mask)
+    full = (1 << len(verts)) - 1
+    covers: set[int] = set()
+    feasible = False
+    for size in range(k + 2):
+        for combo in itertools.combinations(range(len(verts)), size):
+            mask = 0
+            for i in combo:
+                mask |= closed[i]
+            covers.add(mask)
+            if size <= k and mask == full:
+                feasible = True
+    return sorted(covers), full, pos, feasible
+
+
+def bounded_core(g: Graph, k: int) -> frozenset[int]:
+    """The greedy domination core, decided against every cover mask.
+
+    Rescans in ascending vertex order until nothing leaves, so it does not
+    rely on the one-pass argument of ``compute_bounded_core``.
+    """
+    covers, full, pos, feasible = unique_cover_masks(g, k)
+    if not feasible:
+        raise InfeasibleInstanceError(f"graph has no dominating set of size <= {k}")
+    core_mask = full
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            bit = 1 << pos[v]
+            if not core_mask & bit:
+                continue
+            needed = core_mask & ~bit
+            if not any(c & needed == needed and not c & bit for c in covers):
+                core_mask &= ~bit
+                changed = True
+    return frozenset(v for v in g.vertices if core_mask >> pos[v] & 1)
 
 
 # -- shared corpora (built lazily so acceptance timing includes the work) ----

@@ -205,6 +205,27 @@ def test_unknown_flag_exits_64(capsys, p4_file):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--state-budget", "0"], "--state-budget"),
+        (["solve", "--strategy", "quasiwide", "--search-budget", "0"], "--search-budget"),
+        (["solve", "--strategy", "quasiwide", "--max-deletions", "-1"], "--max-deletions"),
+        (["solve", "--strategy", "quasiwide", "--class-threshold", "0"], "--class-threshold"),
+        (["gen", "--n", "-3", "--d", "1", "--k", "2"], "--n"),
+        (["gen", "--n", "8", "--d", "0", "--k", "2"], "--d"),
+        (["gen", "--n", "8", "--d", "1", "--k", "0"], "--k"),
+    ],
+)
+def test_out_of_range_numeric_flag_exits_64(capsys, p4_file, argv, flag):
+    if argv[0] == "solve":
+        argv = [argv[0], p4_file, *argv[1:]]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == "" and f"argument {flag}: must be >=" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_65(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/path.isr")
     assert code == 65

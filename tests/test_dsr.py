@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 
@@ -10,9 +9,8 @@ from tokenjump import (
     Problem,
     Verdict,
     bfs_reconfig,
-    check_twinless_bound,
     compute_bounded_core,
-    kernel_size_cap,
+    isr_to_dsr,
     kernelize_dsr,
     parse_instance,
     remove_core_twins,
@@ -77,6 +75,30 @@ def test_core_property_on_random_graphs():
         assert core_property_holds(inst.graph, core.core, inst.k)
 
 
+def test_core_equals_brute_force_oracle():
+    graphs = [(inst.graph, inst.k) for inst in reference.dsr_corpus()]
+    gadgets = [isr_to_dsr(inst)[0] for inst in reference.tiny_isr_corpus()]
+    small = [(gad.graph, gad.k) for gad in gadgets if gad.graph.n <= 56]
+    assert len(small) == 70
+    for g, k in graphs + small:
+        assert compute_bounded_core(g, k).core == reference.bounded_core(g, k)
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        (Graph(range(5)), 1),
+        (Graph(range(7), [(i, i + 1) for i in range(6)]), 2),  # P7 needs 3
+        (Graph(range(6), [(0, 1), (2, 3), (4, 5)]), 2),
+    ],
+)
+def test_core_and_oracle_agree_on_infeasible_graphs(g, k):
+    with pytest.raises(InfeasibleInstanceError):
+        reference.bounded_core(g, k)
+    with pytest.raises(InfeasibleInstanceError):
+        compute_bounded_core(g, k)
+
+
 def test_core_twins_nothing_to_delete_in_star():
     g = star(4)
     core = compute_bounded_core(g, 1)
@@ -118,18 +140,6 @@ def test_core_twins_skip_protected_vertices():
         assert step.vertex not in protected | source
 
 
-def test_twinless_bound_examples():
-    assert check_twinless_bound(range(2), range(3), 2)
-    assert 2 * 1 * (2 * math.e / 2) ** 4 == pytest.approx(109.196, abs=1e-3)
-    assert check_twinless_bound(range(5), [], 3)
-    assert check_twinless_bound(range(4), [], 1)
-    assert not check_twinless_bound(range(4), [7], 1)
-
-
-def test_kernel_size_cap_evaluation():
-    assert kernel_size_cap(2, 2) == 1_327_116
-
-
 def test_solve_p3_shortest_witness():
     inst = parse_instance("p dsr 3 2 2\ne 1 2\ne 2 3\ns 1 3\nt 1 2\n")
     result = solve_dsr(inst)
@@ -147,13 +157,6 @@ def test_solve_source_equals_target():
     inst = parse_instance("p dsr 3 2 1\ne 1 2\ne 2 3\ns 2\nt 2\n")
     out = solve_dsr(inst).outcome
     assert out.verdict is Verdict.YES and out.sequence.length == 0
-
-
-def test_solve_logs_biclique_free_diagnostics(caplog):
-    inst = parse_instance("p dsr 3 2 1\ne 1 2\ne 2 3\ns 2\nt 2\n")
-    with caplog.at_level("INFO", logger="tokenjump.dsr"):
-        solve_dsr(inst, d=2)
-    assert any("cap" in rec.message for rec in caplog.records)
 
 
 def test_distance_preservation_when_twins_fire():
