@@ -61,7 +61,6 @@ from .quasiwide import (
     solve_isr_quasiwide,
 )
 from .dsr import (
-    CoreTwinCertificate,
     DominationCore,
     InfeasibleInstanceError,
     compute_bounded_core,

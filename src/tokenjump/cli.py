@@ -46,6 +46,7 @@ EX_NO = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
+EX_SOFTWARE = 70
 
 _BICLIQUE_WORK_CAP = 200_000
 
@@ -335,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"tokenjump: error: {exc}", file=sys.stderr)
         return EX_DATA
+    except Exception as exc:  # a defect or exhausted memory, never a "no"
+        print(f"tokenjump: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

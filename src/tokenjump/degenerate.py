@@ -65,25 +65,26 @@ def remove_closed_twins(inst: Instance) -> tuple[Instance, ReductionLog]:
 
     Two vertices are closed twins when N[u] = N[v]; one of them never needs
     to be touched, so keeping the smaller id preserves the answer (and even
-    shortest sequences).  Runs until no twins remain.
+    shortest sequences).  Deleting a vertex v with a closed twin u makes no
+    new twin pair and breaks none: were N[w1] and N[w2] equal but for v, the
+    one of them not adjacent to v would contain u (or be u), and so be
+    adjacent to v after all.  The twin groups are therefore built in one scan;
+    each keeps its smallest member, and groups are emptied in order of that
+    member, the order of rescanning after every deletion.
     """
     _require_isr(inst)
     g = inst.graph
     anchors = inst.anchors
-    log = ReductionLog()
-    while True:
-        groups: dict[frozenset[int], list[int]] = {}
-        for v in g.vertices:
-            if v in anchors:
-                continue
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in g.vertices:
+        if v not in anchors:
             groups.setdefault(g.closed_neighbor_set(v), []).append(v)
-        twin_groups = [vs for vs in groups.values() if len(vs) >= 2]
-        if not twin_groups:
-            break
-        vs = min(twin_groups)
-        survivor, doomed = vs[0], vs[1]
-        g = g.delete_vertex(doomed)
-        log.append(ReductionStep(RULE_TWIN, doomed, {"survivor": survivor}))
+    log = ReductionLog()
+    for survivor, *doomed in groups.values():
+        for v in doomed:
+            log.append(ReductionStep(RULE_TWIN, v, {"survivor": survivor}))
+    if log.steps:
+        g = g.induced_subgraph(g.vertex_set.difference(log.deleted_vertices()))
     return inst.with_graph(g), log
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph
+from .graph import Graph, bitset_index
 from .instances import (
     RULE_CORE_TWIN,
     Instance,
@@ -29,7 +29,6 @@ from .instances import (
 __all__ = [
     "InfeasibleInstanceError",
     "DominationCore",
-    "CoreTwinCertificate",
     "compute_bounded_core",
     "remove_core_twins",
     "kernelize_dsr",
@@ -47,13 +46,6 @@ class DominationCore:
 
     core: frozenset[int]
     size_bound_cap: int
-
-
-@dataclass(frozen=True)
-class CoreTwinCertificate:
-    deleted: int
-    survivor: int
-    shared_core_neighborhood: frozenset[int]
 
 
 def _dominated(closed: list[int], needed: int, allowed: int, budget: int) -> bool:
@@ -98,11 +90,8 @@ def compute_bounded_core(g: Graph, k: int) -> DominationCore:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    verts = g.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    closed = [
-        sum(1 << pos[w] for w in g.closed_neighbor_set(v)) for v in verts
-    ]
+    verts, _pos, nbr = bitset_index(g)
+    closed = [mask | 1 << i for i, mask in enumerate(nbr)]
     full = (1 << len(verts)) - 1
     if not _dominated(closed, full, full, k):
         raise InfeasibleInstanceError(f"graph has no dominating set of size <= {k}")
@@ -134,20 +123,12 @@ def remove_core_twins(
         cells.setdefault(g.neighbor_set(v) & core.core, []).append(v)
     log = ReductionLog()
     for key in sorted(cells, key=lambda s: tuple(sorted(s))):
-        vs = cells[key]
-        survivor = vs[0]
-        for doomed in vs[1:]:
-            g = g.delete_vertex(doomed)
-            log.append(
-                ReductionStep(
-                    RULE_CORE_TWIN,
-                    doomed,
-                    {
-                        "survivor": survivor,
-                        "shared_core_neighborhood": sorted(key),
-                    },
-                )
-            )
+        survivor, *doomed = cells[key]
+        for v in doomed:
+            cert = {"survivor": survivor, "shared_core_neighborhood": sorted(key)}
+            log.append(ReductionStep(RULE_CORE_TWIN, v, cert))
+    if log.steps:
+        g = g.induced_subgraph(g.vertex_set.difference(log.deleted_vertices()))
     return inst.with_graph(g), log
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .instances import Instance, Problem, ReductionLog, is_feasible
+from .graph import bitset_index
+from .instances import Instance, Problem, ReductionLog
 
 __all__ = [
     "DEFAULT_STATE_BUDGET",
@@ -29,7 +30,6 @@ __all__ = [
     "size_bounds",
     "bfs_reconfig",
     "verify_sequence",
-    "is_feasible",
 ]
 
 DEFAULT_STATE_BUDGET = 10_000_000
@@ -106,24 +106,11 @@ def bfs_reconfig(
         raise ValueError("state_budget must be >= 1")
     g = instance.graph
     r_l, r_u = size_bounds(instance.problem, instance.k)
-    verts = g.vertices
+    verts, pos, nbr = bitset_index(g)
     n = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
     isr = instance.problem is Problem.ISR
-    if isr:
-        nbr = [0] * n
-        for i, v in enumerate(verts):
-            mask = 0
-            for w in g.neighbor_set(v):
-                mask |= 1 << pos[w]
-            nbr[i] = mask
-    else:
-        nbr = [0] * n
-        for i, v in enumerate(verts):
-            mask = 1 << i
-            for w in g.neighbor_set(v):
-                mask |= 1 << pos[w]
-            nbr[i] = mask
+    if not isr:  # DSR covers with closed neighborhoods
+        nbr = [mask | 1 << i for i, mask in enumerate(nbr)]
         full = (1 << n) - 1
 
     def to_mask(s: frozenset[int]) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -56,9 +57,6 @@ class Graph:
         return frozenset(self._adj)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._adj
-
-    def has_vertex(self, v: int) -> bool:
         return v in self._adj
 
     def degree(self, v: int) -> int:
@@ -131,21 +129,43 @@ def degeneracy_order(g: Graph) -> DegeneracyResult:
 
     The returned ``d`` is the maximum over peeling steps of the minimum degree
     at that step, so every vertex has at most ``d`` neighbors later in the
-    order.  The empty graph yields ``d = 0`` with an empty order.
+    order.  The empty graph yields ``d = 0`` with an empty order.  Peels
+    smallest-last (Matula and Beck) from a heap of ``(degree, id)`` entries,
+    skipping stale ones, in O(m log n).
     """
-    degs = {v: g.degree(v) for v in g.vertices}
-    alive = set(degs)
+    degs = {v: len(ns) for v, ns in g._adj.items()}
+    heap = [(deg, v) for v, deg in degs.items()]
+    heapq.heapify(heap)
     order: list[int] = []
     d = 0
-    while alive:
-        v = min(alive, key=lambda u: (degs[u], u))
-        d = max(d, degs[v])
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if degs.get(v) != deg:
+            continue
+        del degs[v]
+        d = max(d, deg)
         order.append(v)
-        alive.remove(v)
-        for w in g.neighbor_set(v):
-            if w in alive:
+        for w in g._adj[v]:
+            if w in degs:
                 degs[w] -= 1
+                heapq.heappush(heap, (degs[w], w))
     return DegeneracyResult(d=d, order=tuple(order))
+
+
+def bitset_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
+    """Ascending vertices, their bit positions, and open neighbor masks.
+
+    ``nbr[i] | 1 << i`` is the closed neighborhood of ``vertices[i]``.
+    """
+    verts = g.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    nbr = []
+    for v in verts:
+        mask = 0
+        for w in g._adj[v]:
+            mask |= 1 << pos[w]
+        nbr.append(mask)
+    return verts, pos, nbr
 
 
 def contains_biclique(g: Graph, d: int) -> bool:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .degenerate import remove_closed_twins
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph
+from .graph import Graph, bitset_index
 from .instances import (
     RULE_QUASIWIDE,
     Instance,
@@ -103,12 +103,19 @@ def _ball2(g: Graph, v: int, blocked: frozenset[int]) -> frozenset[int]:
 def _scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
     if cert.scattered & cert.deleted:
         return False
-    balls = [_ball2(g, v, cert.deleted) for v in sorted(cert.scattered)]
-    for a in range(len(balls)):
-        for b in range(a + 1, len(balls)):
-            if balls[a] & balls[b]:
-                return False
-    return True
+    balls = [_ball2(g, v, cert.deleted) for v in cert.scattered]
+    return sum(map(len, balls)) == len(set().union(*balls))
+
+
+def _ball2_mask(nbr: list[int], i: int, blocked: int) -> int:
+    """Bitmask form of ``_ball2``: the radius-2 ball of bit i minus ``blocked``."""
+    first = nbr[i] & ~blocked
+    ball = first | 1 << i
+    while first:
+        low = first & -first
+        ball |= nbr[low.bit_length() - 1]
+        first ^= low
+    return ball & ~blocked
 
 
 def _search_scattered(
@@ -121,45 +128,41 @@ def _search_scattered(
 
     For each candidate B, a greedy ascending-id sweep picks vertices of the
     pool whose radius-2 balls in the graph minus B are pairwise disjoint; the
-    candidate succeeds when at least ``required(|B|)`` are found.  The sweep
-    runs on bitmasks for speed; every certificate is re-validated with plain
-    set arithmetic before it is returned.
+    candidate succeeds when at least ``required(|B|)`` are found, and a sweep
+    stops once that is out of reach.  Balls are computed once in g; only a
+    vertex with a neighbor in B needs its ball recomputed in g minus B.  The
+    sweep runs on bitmasks for speed; every certificate is re-validated with
+    plain set arithmetic before it is returned.
     """
-    verts = g.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * len(verts)
-    for i, v in enumerate(verts):
-        mask = 0
-        for w in g.neighbor_set(v):
-            mask |= 1 << pos[w]
-        nbr[i] = mask
+    verts, pos, nbr = bitset_index(g)
     pool_idx = [pos[v] for v in pool if v in pos]
-    ranked = sorted(verts, key=lambda v: (-g.degree(v), v))
+    balls = {i: _ball2_mask(nbr, i, 0) for i in pool_idx}
+    ranked: list[int] = []
     budget = params.search_budget
     for size in range(params.max_deletions + 1):
         need = required(size)
+        if size == 1:
+            ranked = sorted(verts, key=lambda v: (-g.degree(v), v))
         for combo in itertools.combinations(ranked, size):
             if budget <= 0:
                 logger.debug("scattered-set search budget exhausted")
                 return None
             budget -= 1
-            blocked_mask = 0
+            blocked = 0
             for v in combo:
-                blocked_mask |= 1 << pos[v]
-            candidates = [i for i in pool_idx if not blocked_mask >> i & 1]
-            if len(candidates) < need:
-                continue
+                blocked |= 1 << pos[v]
+            candidates = [i for i in pool_idx if not blocked >> i & 1]
+            left = len(candidates)
             used = 0
             chosen: list[int] = []
             for i in candidates:
-                first = nbr[i] & ~blocked_mask
-                ball = first | 1 << i
-                rest = first
-                while rest:
-                    low = rest & -rest
-                    ball |= nbr[low.bit_length() - 1]
-                    rest ^= low
-                ball &= ~blocked_mask
+                if len(chosen) + left < need:
+                    break
+                left -= 1
+                if nbr[i] & blocked:
+                    ball = _ball2_mask(nbr, i, blocked)
+                else:
+                    ball = balls[i] & ~blocked
                 if used & ball:
                     continue
                 chosen.append(verts[i])

@@ -111,7 +111,11 @@ def _extract(
 def is_valid_sunflower(
     fam: SetFamily, flower: Sunflower, petals_wanted: int | None = None
 ) -> bool:
-    """Exhaustive invariant check: used by tests and as a pre-deletion guard."""
+    """Invariant check, linear in the petal sizes; also a pre-deletion guard.
+
+    Two or more sets meet pairwise in exactly the core when the core lies in
+    each and their petals (set minus core) are pairwise disjoint.
+    """
     idxs = flower.petal_indices
     if len(set(idxs)) != len(idxs):
         return False
@@ -120,10 +124,7 @@ def is_valid_sunflower(
     if petals_wanted is not None and len(idxs) < petals_wanted:
         return False
     sets = [fam.members[i] for i in idxs]
-    if any(not (s - flower.core) for s in sets):
+    petals = [s - flower.core for s in sets]
+    if not all(petals) or sum(map(len, petals)) != len(set().union(*petals)):
         return False
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if sets[a] & sets[b] != flower.core:
-                return False
-    return True
+    return len(sets) < 2 or all(flower.core <= s for s in sets)

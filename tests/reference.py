@@ -8,15 +8,21 @@ reconfiguration graph.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from collections import deque
 
 from tokenjump import (
+    DegeneracyResult,
     Graph,
     InfeasibleInstanceError,
     Instance,
     Problem,
+    ReductionLog,
+    ReductionStep,
+    ScatteredCertificate,
     SetFamily,
     Sunflower,
     bfs_reconfig,
@@ -173,6 +179,91 @@ def bounded_core(g: Graph, k: int) -> frozenset[int]:
     return frozenset(v for v in g.vertices if core_mask >> pos[v] & 1)
 
 
+def degeneracy_order(g: Graph) -> DegeneracyResult:
+    """Min-degree peeling by a full scan of the vertices left at every step."""
+    degs = {v: g.degree(v) for v in g.vertices}
+    alive = set(degs)
+    order: list[int] = []
+    d = 0
+    while alive:
+        v = min(alive, key=lambda u: (degs[u], u))
+        d = max(d, degs[v])
+        order.append(v)
+        alive.remove(v)
+        for w in g.neighbor_set(v):
+            if w in alive:
+                degs[w] -= 1
+    return DegeneracyResult(d=d, order=tuple(order))
+
+
+def remove_closed_twins(inst: Instance) -> tuple[Instance, ReductionLog]:
+    """Closed-twin removal that regroups after every deletion until none is left.
+
+    Deletes the second vertex of the lexicographically least twin group,
+    so it does not rely on the one-scan argument of the solver's version.
+    """
+    g = inst.graph
+    log = ReductionLog()
+    while True:
+        groups: dict[frozenset[int], list[int]] = {}
+        for v in g.vertices:
+            if v not in inst.anchors:
+                groups.setdefault(g.closed_neighbor_set(v), []).append(v)
+        twin_groups = [vs for vs in groups.values() if len(vs) >= 2]
+        if not twin_groups:
+            return inst.with_graph(g), log
+        vs = min(twin_groups)
+        g = g.delete_vertex(vs[1])
+        log.append(ReductionStep("twin", vs[1], {"survivor": vs[0]}))
+
+
+def sunflower_valid(fam: SetFamily, flower: Sunflower, petals_wanted=None) -> bool:
+    """The sunflower invariants, checked pair by pair."""
+    idxs = flower.petal_indices
+    if len(set(idxs)) != len(idxs):
+        return False
+    if any(i < 0 or i >= len(fam.members) for i in idxs):
+        return False
+    if petals_wanted is not None and len(idxs) < petals_wanted:
+        return False
+    sets = [fam.members[i] for i in idxs]
+    if any(not (s - flower.core) for s in sets):
+        return False
+    return all(a & b == flower.core for a, b in itertools.combinations(sets, 2))
+
+
+def ball2(g: Graph, v: int, blocked) -> frozenset[int]:
+    """Closed radius-2 ball around v in g minus ``blocked``, by distances."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == 2:
+            continue
+        for w in g.neighbor_set(u):
+            if w not in blocked and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return frozenset(dist)
+
+
+def scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
+    """Whether the radius-2 balls of the scattered set, minus B, are pairwise disjoint."""
+    if cert.scattered & cert.deleted:
+        return False
+    balls = [ball2(g, v, cert.deleted) for v in cert.scattered]
+    return not any(a & b for a, b in itertools.combinations(balls, 2))
+
+
+def log_digest(runs) -> str:
+    """sha256 over each run's steps (rule, vertex, certificate) and kernel vertices."""
+    h = hashlib.sha256()
+    for kernel, log in runs:
+        steps = [[s.rule, s.vertex, s.certificate] for s in log]
+        h.update(json.dumps([steps, kernel.graph.vertices], sort_keys=True).encode())
+    return h.hexdigest()
+
+
 # -- shared corpora (built lazily so acceptance timing includes the work) ----
 
 _cache: dict[str, object] = {}
@@ -271,3 +362,39 @@ def tiny_isr_corpus() -> list[Instance]:
             )
         _cache["tiny"] = corpus
     return _cache["tiny"]
+
+
+def _closed_blowup(rng: random.Random) -> Graph:
+    """A random degenerate graph with each vertex replaced by a clique of 1-3
+    closed twins, joined completely along the base edges."""
+    base = gen_random_degenerate(rng.randint(6, 16), rng.choice((1, 2)), rng.randrange(2**30))
+    copies: dict[int, list[int]] = {}
+    for v in base.vertices:
+        start = sum(len(c) for c in copies.values())
+        copies[v] = list(range(start, start + rng.choice((1, 1, 2, 3))))
+    edges = [e for c in copies.values() for e in itertools.combinations(c, 2)]
+    for u, v in base.edges():
+        edges += itertools.product(copies[u], copies[v])
+    return Graph(range(sum(len(c) for c in copies.values())), edges)
+
+
+def sparse_corpus() -> list[Instance]:
+    """Planted instances on which every deletion rule fires.
+
+    Forests of 240-250 vertices (k = 2) exceed the low-degree threshold of
+    162; closed blow-ups are full of twin groups; pendant-heavy graphs make
+    the scattered-set search delete hubs.
+    """
+    if "sparse" not in _cache:
+        rng = random.Random(0x5EED4)
+        graphs = [gen_random_degenerate(n, 1, rng.randrange(2**30)) for n in (240, 250)]
+        graphs += [_closed_blowup(rng) for _ in range(20)]
+        graphs += [_pendant_heavy_graph(rng.randint(20, 60), rng) for _ in range(20)]
+        corpus = []
+        for g in graphs:
+            inst = None
+            while inst is None:
+                inst = plant_isr_instance(g, rng.choice((2, 3)) if g.n < 240 else 2, rng.randrange(2**30))
+            corpus.append(inst)
+        _cache["sparse"] = corpus
+    return _cache["sparse"]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tokenjump import parse_instance, parse_report
+from tokenjump import cli
 from tokenjump.cli import main
 
 P4_TEXT = "p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n"
@@ -229,3 +230,23 @@ def test_out_of_range_numeric_flag_exits_64(capsys, p4_file, argv, flag):
 def test_missing_file_exits_65(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/path.isr")
     assert code == 65
+
+
+@pytest.mark.parametrize(
+    "pipeline, exc",
+    [
+        ("solve_isr_degenerate", RuntimeError("kernel bound violated")),
+        ("solve_isr_degenerate", MemoryError()),
+        ("solve_isr_quasiwide", RuntimeError("sunflower extraction failed")),
+    ],
+)
+def test_internal_error_exits_70(capsys, monkeypatch, p4_file, pipeline, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, pipeline, fail)
+    strategy = "quasiwide" if "quasiwide" in pipeline else "auto"
+    code, out, err = run(capsys, "solve", p4_file, "--strategy", strategy)
+    assert code == 70
+    assert out == ""
+    assert err == f"tokenjump: internal error: {type(exc).__name__}: {exc}\n"

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
     Graph,
@@ -21,6 +24,11 @@ from tokenjump import (
 import reference
 
 P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
+
+# Digest (reference.log_digest) of kernelize_degenerate's logs and kernels on
+# the ISR corpus followed by the sparse corpus, recorded with the rescanning
+# twin removal and min-scan degeneracy order that reference.py keeps.
+KERNEL_LOGS_DIGEST = "b21dba6d2053d93fb4cffa5d558aed5af3ea30c18897fd6cffd131c605f4c6d2"
 
 
 def isolated_instance(total, k=2):
@@ -59,6 +67,38 @@ def test_twin_removal_adjacent_pair_with_shared_neighbors():
 def test_twin_removal_leaves_p4_alone():
     reduced, log = remove_closed_twins(P4)
     assert len(log) == 0 and reduced.graph == P4.graph
+
+
+@st.composite
+def small_instances(draw):
+    """Graphs on up to 9 vertices, where closed twins are common; k = 1."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    source, target = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return Instance(
+        Problem.ISR, Graph(range(n), edges), 1, frozenset({source}), frozenset({target})
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_instances())
+def test_twin_removal_matches_rescan_reference(inst):
+    assert remove_closed_twins(inst) == reference.remove_closed_twins(inst)
+
+
+def test_twin_removal_matches_rescan_reference_on_corpora():
+    insts = [inst for inst, _ in reference.isr_corpus()] + reference.sparse_corpus()
+    for inst in insts:
+        assert remove_closed_twins(inst) == reference.remove_closed_twins(inst)
+
+
+def test_kernel_logs_match_stored_run():
+    runs = []
+    for inst in [inst for inst, _ in reference.isr_corpus()] + reference.sparse_corpus():
+        kern = kernelize_degenerate(inst)
+        runs.append((kern.kernel, kern.log))
+    assert reference.log_digest(runs) == KERNEL_LOGS_DIGEST
 
 
 def test_low_degree_rule_fires_above_threshold():

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tokenjump import Graph, contains_biclique, degeneracy_order, gen_random_degenerate
+from tokenjump.graph import bitset_index
+
+import reference
 
 
 def path(n):
@@ -56,6 +59,27 @@ def test_degeneracy_order_is_a_valid_peeling(g):
     for v in res.order:
         later.discard(v)
         assert len(g.neighbor_set(v) & later) <= res.d
+
+
+@given(graphs(max_n=14))
+def test_degeneracy_order_matches_min_scan_reference(g):
+    assert degeneracy_order(g) == reference.degeneracy_order(g)
+
+
+def test_degeneracy_order_matches_min_scan_reference_on_corpora():
+    graphs_ = [inst.graph for inst, _ in reference.isr_corpus()]
+    graphs_ += [inst.graph for inst in reference.sparse_corpus()]
+    for g in graphs_:
+        assert degeneracy_order(g) == reference.degeneracy_order(g)
+
+
+def test_bitset_index_examples():
+    g = Graph([3, 7, 9], [(3, 9), (7, 9)])
+    verts, pos, nbr = bitset_index(g)
+    assert verts == (3, 7, 9)
+    assert pos == {3: 0, 7: 1, 9: 2}
+    assert nbr == [0b100, 0b100, 0b011]
+    assert bitset_index(Graph()) == ((), {}, [])
 
 
 def test_closed_neighborhood_examples():

@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
     Graph,
     Instance,
     Problem,
     QuasiWideParams,
+    ScatteredCertificate,
     SetFamily,
     Sunflower,
     Verdict,
@@ -20,10 +22,17 @@ from tokenjump import (
     solve_isr_quasiwide,
     verify_sequence,
 )
+from tokenjump.quasiwide import _scattered_valid
 
 import reference
 
 P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
+
+# Digest (reference.log_digest) of kernelize_quasiwide's logs and kernels:
+# threshold 2k on the ISR corpus and the sparse corpus, then the default
+# parameters on the sparse corpus.  Recorded with the scattered-set search
+# that rebuilt every ball for every deletion set, and the pairwise checks.
+KERNEL_LOGS_DIGEST = "a6d758f36ce97c6356f5dd256afb0e2c942eb051822fc5ef22bef91fbfec4000"
 
 
 def star(leaves):
@@ -198,3 +207,41 @@ def test_kernelize_reaches_class_fixpoint():
     classes = partition_by_solution_neighborhood(kernel.graph, kernel.anchors)
     assert all(len(vs) <= params.class_threshold for vs in classes.values())
     assert kernel.graph.n == 50 - len(log)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_scattered_check_matches_pairwise_reference(data):
+    n = data.draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs), max_size=n)) if pairs else set()
+    g = Graph(range(n), edges)
+    cert = ScatteredCertificate(
+        data.draw(st.frozensets(st.integers(0, n - 1), max_size=3)),
+        data.draw(st.frozensets(st.integers(0, n - 1), max_size=5)),
+    )
+    assert _scattered_valid(g, cert) == reference.scattered_valid(g, cert)
+
+
+def test_found_certificates_pass_pairwise_reference():
+    found = 0
+    for inst in reference.sparse_corpus():
+        rest = inst.graph.induced_subgraph(inst.graph.vertex_set - inst.anchors)
+        for target in (2, 4, 8):
+            cert = find_scattered_with_deletions(
+                rest, rest.vertex_set, target, QuasiWideParams(search_budget=200)
+            )
+            if cert is not None:
+                found += 1
+                assert reference.scattered_valid(rest, cert)
+    assert found > 0
+
+
+def test_kernel_logs_match_stored_run():
+    insts = [inst for inst, _ in reference.isr_corpus()] + reference.sparse_corpus()
+    runs = [
+        kernelize_quasiwide(inst, QuasiWideParams(class_threshold=2 * inst.k, search_budget=2000))
+        for inst in insts
+    ]
+    runs += [kernelize_quasiwide(inst, QuasiWideParams()) for inst in reference.sparse_corpus()]
+    assert reference.log_digest(runs) == KERNEL_LOGS_DIGEST

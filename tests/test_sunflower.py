@@ -11,6 +11,8 @@ from tokenjump import (
     sunflower_threshold,
 )
 
+import reference
+
 
 def test_family_validation():
     with pytest.raises(ValueError, match="empty"):
@@ -123,3 +125,26 @@ def test_guarantee_above_threshold(card, petals, seed):
     flower = find_sunflower(fam, petals)
     assert flower is not None
     assert is_valid_sunflower(fam, flower, petals)
+
+
+@settings(deadline=None, max_examples=200)
+@given(families(), st.data())
+def test_validator_matches_pairwise_reference(fam, data):
+    idxs = tuple(data.draw(st.lists(st.integers(-1, len(fam)), max_size=6)))
+    core = data.draw(st.frozensets(st.integers(0, 14), max_size=3))
+    flowers = [Sunflower(core, idxs)]
+    found = find_sunflower(fam, 2)
+    if found is not None:
+        extra = data.draw(st.integers(0, 14))
+        flowers += [
+            found,
+            Sunflower(found.core | {extra}, found.petal_indices),
+            Sunflower(found.core - {extra}, found.petal_indices),
+            Sunflower(found.core, found.petal_indices + idxs),
+            Sunflower(found.core, found.petal_indices[:1]),
+        ]
+    want = data.draw(st.none() | st.integers(0, 6))
+    for flower in flowers:
+        assert is_valid_sunflower(fam, flower, want) == reference.sunflower_valid(
+            fam, flower, want
+        )
