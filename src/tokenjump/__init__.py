@@ -1,7 +1,7 @@
 """Token-jumping reconfiguration solvers for independent and dominating sets.
 
 The toolkit bundles a ground-truth breadth-first search over the
-reconfiguration graph, certificate-logging kernelization pipelines for both
+reconfiguration graph, certificate-carrying kernelization pipelines for both
 problems, a constructive sunflower extractor, an ISR-to-DSR gadget
 transformation, and a CLI with a stable instance format.
 """

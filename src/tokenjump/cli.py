@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
 from math import comb
@@ -77,9 +76,7 @@ _positive, _non_negative = _at_least(1), _at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--verbose", action="store_true", help="log diagnostics")
-    parser = _Parser(prog="tokenjump", description=__doc__, parents=[common])
+    parser = _Parser(prog="tokenjump", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p):
@@ -93,35 +90,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-deletions", type=_non_negative, default=2)
         p.add_argument("--search-budget", type=_positive, default=10_000)
 
-    p = sub.add_parser("solve", parents=[common],
-                       help="decide an instance and emit a report")
+    p = sub.add_parser("solve", help="decide an instance and emit a report")
     add_input(p)
-    p.add_argument(
-        "--strategy",
-        choices=["auto", "degenerate", "quasiwide", "oracle"],
-        default="auto",
-    )
+    p.add_argument("--strategy", choices=["auto", "quasiwide", "oracle"], default="auto")
     p.add_argument("--state-budget", type=_positive, default=DEFAULT_STATE_BUDGET)
     add_quasiwide_flags(p)
     add_out(p)
 
-    p = sub.add_parser("kernelize", parents=[common],
-                       help="emit the kernel instance and rule log")
+    p = sub.add_parser("kernelize", help="emit the kernel instance and rule log")
     add_input(p)
-    p.add_argument(
-        "--strategy", choices=["auto", "degenerate", "quasiwide"], default="auto"
-    )
+    p.add_argument("--strategy", choices=["auto", "quasiwide"], default="auto")
     add_quasiwide_flags(p)
     add_out(p)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check a report's sequence against an instance")
+    p = sub.add_parser("verify", help="check a report's sequence against an instance")
     p.add_argument("instance", help="instance path")
     p.add_argument("report", nargs="?", help="report path (default: stdin)")
     add_out(p)
 
-    p = sub.add_parser("gen", parents=[common],
-                       help="generate a random planted instance")
+    p = sub.add_parser("gen", help="generate a random planted instance")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--k", type=_positive, required=True)
@@ -129,17 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=["isr", "dsr"], default="isr")
     add_out(p)
 
-    p = sub.add_parser("convert", parents=[common],
-                       help="transform an ISR instance into a DSR gadget")
+    p = sub.add_parser("convert", help="transform an ISR instance into a DSR gadget")
     add_input(p)
     add_out(p)
 
-    p = sub.add_parser("stats", parents=[common],
-                       help="print structural statistics of an instance")
+    p = sub.add_parser("stats", help="print structural statistics of an instance")
     add_input(p)
     add_out(p)
 
     return parser
+
+
+_PARSER = build_parser()  # argparse parsers can be reused across calls
 
 
 def _read_input(path: str | None) -> str:
@@ -166,29 +154,28 @@ def _quasiwide_params(args, k: int) -> QuasiWideParams:
     )
 
 
-def _cmd_solve(args) -> int:
+def _read_instance(args):
+    """The instance of ``solve`` or ``kernelize``; quasiwide needs ISR."""
     inst = parse_instance(_read_input(args.instance))
+    if args.strategy == "quasiwide" and inst.problem is not Problem.ISR:
+        raise _UsageError("strategy 'quasiwide' requires an ISR instance")
+    return inst
+
+
+def _cmd_solve(args) -> int:
+    inst = _read_instance(args)
     start = time.perf_counter()
-    if inst.problem is Problem.ISR:
-        if args.strategy == "oracle":
-            outcome = bfs_reconfig(inst, args.state_budget)
-            result = SolveResult(outcome, ReductionLog(), inst)
-        elif args.strategy == "quasiwide":
-            result = solve_isr_quasiwide(
-                inst, _quasiwide_params(args, inst.k), args.state_budget
-            )
-        else:  # auto and degenerate coincide for ISR
-            result = solve_isr_degenerate(inst, args.state_budget)
+    if args.strategy == "oracle":
+        outcome = bfs_reconfig(inst, args.state_budget)
+        result = SolveResult(outcome, ReductionLog(), inst)
+    elif args.strategy == "quasiwide":
+        result = solve_isr_quasiwide(
+            inst, _quasiwide_params(args, inst.k), args.state_budget
+        )
+    elif inst.problem is Problem.ISR:
+        result = solve_isr_degenerate(inst, args.state_budget)
     else:
-        if args.strategy in ("degenerate", "quasiwide"):
-            raise _UsageError(
-                f"strategy {args.strategy!r} requires an ISR instance"
-            )
-        if args.strategy == "oracle":
-            outcome = bfs_reconfig(inst, args.state_budget)
-            result = SolveResult(outcome, ReductionLog(), inst)
-        else:
-            result = solve_dsr(inst, args.state_budget)
+        result = solve_dsr(inst, args.state_budget)
     ms = int((time.perf_counter() - start) * 1000)
     _emit(
         serialize_report(result.outcome, result.log, result.kernel.graph, ms=ms),
@@ -198,16 +185,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
-    inst = parse_instance(_read_input(args.instance))
-    if inst.problem is Problem.ISR:
-        if args.strategy == "quasiwide":
-            kernel, log = kernelize_quasiwide(inst, _quasiwide_params(args, inst.k))
-        else:
-            kern = kernelize_degenerate(inst)
-            kernel, log = kern.kernel, kern.log
+    inst = _read_instance(args)
+    if args.strategy == "quasiwide":
+        kernel, log = kernelize_quasiwide(inst, _quasiwide_params(args, inst.k))
+    elif inst.problem is Problem.ISR:
+        kern = kernelize_degenerate(inst)
+        kernel, log = kern.kernel, kern.log
     else:
-        if args.strategy == "quasiwide":
-            raise _UsageError("strategy 'quasiwide' requires an ISR instance")
         kernel, log, _core = kernelize_dsr(inst)
     payload = {
         "instance": serialize_instance(kernel),
@@ -317,23 +301,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"tokenjump: error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    if args.verbose:
-        logging.basicConfig(level=logging.INFO)
-    try:
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"tokenjump: error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (InstanceFormatError, ReportFormatError) as exc:
-        print(f"tokenjump: error: {exc}", file=sys.stderr)
-        return EX_DATA
-    except OSError as exc:
+    except (InstanceFormatError, ReportFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"tokenjump: error: {exc}", file=sys.stderr)
         return EX_DATA
     except Exception as exc:  # a defect or exhausted memory, never a "no"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import degeneracy_order
@@ -31,6 +31,7 @@ __all__ = [
     "kernel_vertex_bound",
     "remove_closed_twins",
     "reduce_low_degree_once",
+    "reduce_to_fixpoint",
     "kernelize_degenerate",
     "solve_isr_degenerate",
 ]
@@ -125,25 +126,39 @@ def reduce_low_degree_once(
     return inst.with_graph(g.delete_vertex(center)), step
 
 
-def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
-    """Alternate twin removal and the low-degree rule to a fixpoint.
+Rule = Callable[[Instance], Optional[tuple[Instance, ReductionStep]]]
 
-    The degeneracy is recomputed after every deletion, so the threshold only
-    shrinks as the graph does.  The certified size bound is checked before
-    returning; a violation signals an implementation bug, not bad input.
+
+def reduce_to_fixpoint(inst: Instance, rule: Rule) -> tuple[Instance, ReductionLog]:
+    """Alternate twin removal and one deletion by ``rule`` until it finds none.
+
+    Both ISR kernels share this loop; they differ only in the rule that finds
+    the certifying sunflower.
     """
-    _require_isr(inst)
     cur = inst
     log = ReductionLog()
     while True:
         cur, twin_log = remove_closed_twins(cur)
         log.extend(twin_log.steps)
-        d = degeneracy_order(cur.graph).d
-        reduced = reduce_low_degree_once(cur, d)
+        reduced = rule(cur)
         if reduced is None:
-            break
+            return cur, log
         cur, step = reduced
         log.append(step)
+
+
+def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
+    """Alternate twin removal and the low-degree rule to a fixpoint.
+
+    The degeneracy is recomputed before every attempt, so the threshold only
+    shrinks as the graph does.  The certified size bound is checked before
+    returning; a violation signals an implementation bug, not bad input.
+    """
+    _require_isr(inst)
+    cur, log = reduce_to_fixpoint(
+        inst, lambda cur: reduce_low_degree_once(cur, degeneracy_order(cur.graph).d)
+    )
+    d = degeneracy_order(cur.graph).d
     low_bound = low_degree_threshold(d, cur.k)
     total_bound = kernel_vertex_bound(d, cur.k)
     anchors = cur.anchors

@@ -42,10 +42,9 @@ class InfeasibleInstanceError(ValueError):
 
 @dataclass(frozen=True)
 class DominationCore:
-    """Core C with the property certified for all sets of size <= size_bound_cap."""
+    """Core C: a set of at most k+1 vertices dominates C iff it dominates V."""
 
     core: frozenset[int]
-    size_bound_cap: int
 
 
 def _dominated(closed: list[int], needed: int, allowed: int, budget: int) -> bool:
@@ -101,7 +100,7 @@ def compute_bounded_core(g: Graph, k: int) -> DominationCore:
         if not _dominated(closed, core_mask & ~bit, full & ~mask, k + 1):
             core_mask &= ~bit
     core = frozenset(v for i, v in enumerate(verts) if core_mask >> i & 1)
-    return DominationCore(core=core, size_bound_cap=k + 1)
+    return DominationCore(core=core)
 
 
 def remove_core_twins(

@@ -74,10 +74,6 @@ class Graph:
     def closed_neighbor_set(self, v: int) -> frozenset[int]:
         return self.neighbor_set(v) | {v}
 
-    def closed_neighborhood(self, v: int) -> tuple[int, ...]:
-        """N(v) together with v itself, ascending."""
-        return tuple(sorted(self.closed_neighbor_set(v)))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in self.vertices:
             for v in self.neighbors(u):

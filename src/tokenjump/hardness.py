@@ -67,22 +67,22 @@ class GadgetMap:
     def clique(self, i: int) -> tuple[int, ...]:
         return tuple(self.clique_vertex[(i, p)] for p in range(1, self.n + 1))
 
-    def to_json_dict(self, offset: int = 1) -> dict:
-        """JSON form; ``offset`` shifts ids into file coordinates."""
+    def to_json_dict(self) -> dict:
+        """JSON form, with ids in 1-indexed file coordinates."""
         return {
             "k": self.k,
             "n": self.n,
             "cliques": [
-                [v + offset for v in self.clique(i)] for i in range(1, self.k + 1)
+                [v + 1 for v in self.clique(i)] for i in range(1, self.k + 1)
             ],
-            "forcers": [[v + offset for v in f] for f in self.forcer_sets],
+            "forcers": [[v + 1 for v in f] for f in self.forcer_sets],
             "guards": [
                 {
                     "i": gs.i,
                     "j": gs.j,
                     "p": gs.p,
                     "q": gs.q,
-                    "vertices": [v + offset for v in gs.vertices],
+                    "vertices": [v + 1 for v in gs.vertices],
                 }
                 for gs in self.guard_sets
             ],

@@ -319,7 +319,7 @@ def parse_report(data: str | bytes) -> dict:
         data = data.decode("utf-8")
     try:
         report = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise ReportFormatError(f"report is not valid JSON: {exc}") from None
     if not isinstance(report, dict):
         raise ReportFormatError("report must be a JSON object")

@@ -17,11 +17,10 @@ constructed and validated, so correctness never depends on the parameters.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .degenerate import remove_closed_twins
+from .degenerate import reduce_to_fixpoint
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import Graph, bitset_index
 from .instances import (
@@ -42,8 +41,6 @@ __all__ = [
     "kernelize_quasiwide",
     "solve_isr_quasiwide",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,6 @@ class ScatteredCertificate:
 
     deleted: frozenset[int]
     scattered: frozenset[int]
-    radius: int = 2
 
 
 def partition_by_solution_neighborhood(
@@ -145,7 +141,6 @@ def _search_scattered(
             ranked = sorted(verts, key=lambda v: (-g.degree(v), v))
         for combo in itertools.combinations(ranked, size):
             if budget <= 0:
-                logger.debug("scattered-set search budget exhausted")
                 return None
             budget -= 1
             blocked = 0
@@ -198,6 +193,9 @@ def reduce_quasiwide_once(
     scattered vertices, so that some subclass of equal B-neighborhood keeps
     2k of them; their closed neighborhoods form the certifying sunflower.
     Expects closed twins outside the solution sets to be removed already.
+    A certificate that fails validation is an internal error: by pigeonhole
+    some cell holds 2k vertices, and the scattered balls make their closed
+    neighborhoods meet exactly in the shared anchor and B neighbors.
     """
     if inst.problem is not Problem.ISR:
         raise ValueError("this reduction applies to ISR instances only")
@@ -223,25 +221,15 @@ def reduce_quasiwide_once(
     cells: dict[frozenset[int], list[int]] = {}
     for a in sorted(cert.scattered):
         cells.setdefault(g.neighbor_set(a) & cert.deleted, []).append(a)
-    eligible = [
-        (len(vs), tuple(sorted(key)), vs)
-        for key, vs in cells.items()
-        if len(vs) >= two_k
-    ]
-    if not eligible:
-        logger.warning("scattered set found but no subclass reached 2k vertices")
-        return None
-    eligible.sort(key=lambda t: (-t[0], t[1]))
-    petals = eligible[0][2]
+    petals = min(cells.items(), key=lambda kv: (-len(kv[1]), sorted(kv[0])))[1]
     family = SetFamily([g.closed_neighbor_set(a) for a in petals])
     core = family.members[0] & family.members[1]
     flower = Sunflower(core=core, petal_indices=tuple(range(len(petals))))
-    if not is_valid_sunflower(family, flower, petals_wanted=two_k):
-        logger.warning("constructed sunflower failed validation; skipping deletion")
-        return None
-    if not core <= (cert.deleted | anchors):
-        logger.warning("sunflower core escapes B and the solution sets; skipping")
-        return None
+    if not (
+        is_valid_sunflower(family, flower, petals_wanted=two_k)
+        and core <= cert.deleted | anchors
+    ):
+        raise RuntimeError("scattered-set sunflower failed validation")
     center = petals[0]
     step = ReductionStep(
         RULE_QUASIWIDE,
@@ -259,17 +247,7 @@ def kernelize_quasiwide(
     inst: Instance, params: QuasiWideParams
 ) -> tuple[Instance, ReductionLog]:
     """Alternate twin removal and the scattered-set rule to a fixpoint."""
-    cur = inst
-    log = ReductionLog()
-    while True:
-        cur, twin_log = remove_closed_twins(cur)
-        log.extend(twin_log.steps)
-        reduced = reduce_quasiwide_once(cur, params)
-        if reduced is None:
-            break
-        cur, step = reduced
-        log.append(step)
-    return cur, log
+    return reduce_to_fixpoint(inst, lambda cur: reduce_quasiwide_once(cur, params))
 
 
 def solve_isr_quasiwide(

@@ -9,43 +9,32 @@ from typing import Iterable, Optional
 
 
 class SetFamily:
-    """An indexed family of distinct nonempty sets over a shared universe.
+    """An indexed family of distinct nonempty sets of bounded size.
 
     Members must be nonempty: a sunflower petal is required to be nonempty, so
     an empty member could never participate in one and would break the
     extraction guarantee.
     """
 
-    __slots__ = ("universe", "members", "card_bound")
+    __slots__ = ("members", "card_bound")
 
     def __init__(
-        self,
-        members: Iterable[Iterable[int]],
-        card_bound: int | None = None,
-        universe: Iterable[int] | None = None,
+        self, members: Iterable[Iterable[int]], card_bound: int | None = None
     ) -> None:
         mems = tuple(frozenset(m) for m in members)
         if card_bound is None:
             card_bound = max((len(m) for m in mems), default=1)
         if card_bound < 1:
             raise ValueError("card_bound must be >= 1")
-        uni = (
-            frozenset(universe)
-            if universe is not None
-            else frozenset().union(*mems) if mems else frozenset()
-        )
         seen: set[frozenset[int]] = set()
         for idx, m in enumerate(mems):
             if not m:
                 raise ValueError(f"member {idx} is empty")
             if len(m) > card_bound:
                 raise ValueError(f"member {idx} exceeds card_bound {card_bound}")
-            if not m <= uni:
-                raise ValueError(f"member {idx} is not contained in the universe")
             if m in seen:
                 raise ValueError(f"member {idx} duplicates an earlier member")
             seen.add(m)
-        self.universe = uni
         self.members = mems
         self.card_bound = card_bound
 

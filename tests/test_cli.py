@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tokenjump import parse_instance, parse_report
 from tokenjump import cli
@@ -53,13 +58,14 @@ def test_solve_dsr_and_strategy_guard(capsys, tmp_path):
     path.write_text(DSR_TEXT)
     code, out, _ = run(capsys, "solve", str(path))
     assert code == 0 and parse_report(out)["answer"] == "yes"
-    code, _, err = run(capsys, "solve", str(path), "--strategy", "degenerate")
-    assert code == 64 and "requires an ISR instance" in err
+    for command in ("solve", "kernelize"):
+        code, _, err = run(capsys, command, str(path), "--strategy", "quasiwide")
+        assert code == 64 and "requires an ISR instance" in err
 
 
 def test_solve_strategies_agree(capsys, p4_file):
     answers = set()
-    for strategy in ("auto", "degenerate", "quasiwide", "oracle"):
+    for strategy in ("auto", "quasiwide", "oracle"):
         code, out, _ = run(capsys, "solve", p4_file, "--strategy", strategy)
         answers.add((code, parse_report(out)["answer"]))
     assert answers == {(0, "yes")}
@@ -173,7 +179,7 @@ def test_strategies_agree_and_verify_accepts_solve_on_corpus(capsys, tmp_path):
         inst_path = tmp_path / f"inst{seed}.isr"
         inst_path.write_text(text)
         exits = {}
-        for strategy in ("oracle", "degenerate", "quasiwide"):
+        for strategy in ("oracle", "auto", "quasiwide"):
             report_path = tmp_path / f"report{seed}-{strategy}.json"
             exits[strategy], _, _ = run(
                 capsys, "solve", str(inst_path), "--strategy", strategy,
@@ -227,6 +233,38 @@ def test_out_of_range_numeric_flag_exits_64(capsys, p4_file, argv, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--strategy", "degenerate"],
+        ["kernelize", "--strategy", "degenerate"],
+        ["solve", "--verbose"],
+        ["--verbose", "solve"],
+    ],
+)
+def test_removed_options_exit_64(capsys, p4_file, argv):
+    code, out, err = run(capsys, *argv, p4_file)
+    assert code == 64 and out == ""
+    assert err.startswith("tokenjump: error: ")
+
+
+def test_non_utf8_files_exit_65(capsys, tmp_path, p4_file):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"p isr 2 0 1\n\xff\n")
+    for argv in (["solve", str(bad)], ["verify", p4_file, str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 65 and out == ""
+        assert err.startswith("tokenjump: error: 'utf-8' codec can't decode")
+
+
+def test_deeply_nested_report_exits_65(capsys, tmp_path, p4_file):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, "verify", p4_file, str(deep))
+    assert code == 65 and out == ""
+    assert err.startswith("tokenjump: error: report is not valid JSON")
+
+
 def test_missing_file_exits_65(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/path.isr")
     assert code == 65
@@ -250,3 +288,74 @@ def test_internal_error_exits_70(capsys, monkeypatch, p4_file, pipeline, exc):
     assert code == 70
     assert out == ""
     assert err == f"tokenjump: internal error: {type(exc).__name__}: {exc}\n"
+
+
+SMALL_INT = st.integers(-1, 6)
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance text from the line grammar, every int in -1..6.
+
+    In about half the draws every count and vertex fits the header, so that
+    many instances parse and reach the solvers; the rest test the parser.
+    """
+    fits = draw(st.booleans())
+
+    def fitting(values):
+        return values if fits else values | SMALL_INT
+
+    problem = draw(st.sampled_from(["isr", "dsr"]))
+    n = draw(fitting(st.integers(1, 6)))
+    vertex = fitting(st.integers(1, max(n, 1)))
+    pairs = st.tuples(vertex, vertex).map(sorted).filter(lambda e: e[0] < e[1])
+    edges = sorted(draw(st.sets(pairs.map(tuple), max_size=6)))
+    ends = [sorted(draw(st.sets(vertex, min_size=1, max_size=3))) for _ in "st"]
+    m, k = draw(fitting(st.just(len(edges)))), draw(fitting(st.just(len(ends[0]))))
+    lines = [f"p {problem} {n} {m} {k}"]
+    lines += [f"e {u} {v}" for u, v in edges]
+    lines += [" ".join(map(str, [tag, *vs])) for tag, vs in zip("st", ends)]
+    return "\n".join(lines).encode()
+
+
+INSTANCES = st.binary(max_size=80) | instance_texts()
+REPORTS = st.binary(max_size=80) | st.fixed_dictionaries(
+    {
+        "answer": st.sampled_from(["yes", "no", "unknown"]),
+        "kernel": st.just({"n": 1, "m": 0, "deleted": []}),
+        "rules": st.just([]),
+        "stats": st.just({"states_explored": 0, "ms": 0}),
+    },
+    optional={"sequence": st.lists(st.lists(SMALL_INT, max_size=4), max_size=4)},
+).map(lambda report: json.dumps(report).encode())
+
+
+def run_on_files(argv, *contents):
+    """Run the CLI with each content written to a file; returns (code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, data in enumerate(contents):
+            paths.append(os.path.join(tmp, f"input{i}"))
+            with open(paths[-1], "wb") as handle:
+                handle.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], *paths, *argv[1:]])
+    return code, err.getvalue()
+
+
+def assert_contract(code, err):
+    assert code in (0, 1, 2, 65), err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+@settings(deadline=None, max_examples=300)
+@given(INSTANCES)
+def test_fuzzed_instance_keeps_exit_code_contract(data):
+    assert_contract(*run_on_files(["solve", "--state-budget", "1000"], data))
+
+
+@settings(deadline=None, max_examples=300)
+@given(INSTANCES, REPORTS)
+def test_fuzzed_verify_keeps_exit_code_contract(instance, report):
+    assert_contract(*run_on_files(["verify"], instance, report))

@@ -46,7 +46,6 @@ def test_core_of_star_is_three_leaves():
     g = star(4)
     core = compute_bounded_core(g, 1)
     assert core.core == {2, 3, 4}
-    assert core.size_bound_cap == 2
     assert core_property_holds(g, core.core, 1)
 
 

@@ -84,11 +84,11 @@ def test_bitset_index_examples():
 
 def test_closed_neighborhood_examples():
     g = star(3)
-    assert g.closed_neighborhood(0) == (0, 1, 2, 3)
-    assert Graph([7]).closed_neighborhood(7) == (7,)
-    assert path(3).closed_neighborhood(1) == (0, 1, 2)
+    assert g.closed_neighbor_set(0) == {0, 1, 2, 3}
+    assert Graph([7]).closed_neighbor_set(7) == {7}
+    assert path(3).closed_neighbor_set(1) == {0, 1, 2}
     with pytest.raises(KeyError):
-        path(3).closed_neighborhood(9)
+        path(3).closed_neighbor_set(9)
 
 
 def test_neighbors_are_sorted_ascending():

@@ -22,6 +22,7 @@ from tokenjump import (
     solve_isr_quasiwide,
     verify_sequence,
 )
+from tokenjump import cli, quasiwide
 from tokenjump.quasiwide import _scattered_valid
 
 import reference
@@ -126,6 +127,24 @@ def test_reduce_fires_on_isolated_class():
     assert step.certificate["core"] == [] and step.certificate["deletions"] == []
     assert len(step.certificate["petal_centers"]) >= 4
     assert reduced.graph.n == 49
+
+
+def test_failed_sunflower_validation_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(quasiwide, "is_valid_sunflower", lambda *args, **kwargs: False)
+    inst = Instance(Problem.ISR, Graph(range(50)), 2, frozenset({0, 1}), frozenset({2, 3}))
+    params = QuasiWideParams(class_threshold=20, max_deletions=0)
+    with pytest.raises(RuntimeError, match="failed validation"):
+        reduce_quasiwide_once(inst, params)
+    path = tmp_path / "isolated.isr"
+    path.write_text("p isr 50 0 2\ns 1 2\nt 3 4\n")
+    argv = ["solve", str(path), "--strategy", "quasiwide", "--class-threshold", "20"]
+    assert cli.main(argv) == 70
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "tokenjump: internal error: RuntimeError: "
+        "scattered-set sunflower failed validation\n"
+    )
 
 
 def test_reduce_absent_when_classes_are_small():

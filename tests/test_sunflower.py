@@ -21,10 +21,8 @@ def test_family_validation():
         SetFamily([{1, 2}, {2, 1}])
     with pytest.raises(ValueError, match="card_bound"):
         SetFamily([{1, 2, 3}], card_bound=2)
-    with pytest.raises(ValueError, match="universe"):
-        SetFamily([{1, 2}], universe={1})
     fam = SetFamily([{1, 2}, {3}])
-    assert fam.card_bound == 2 and fam.universe == {1, 2, 3}
+    assert fam.card_bound == 2
 
 
 def test_disjoint_singletons_have_empty_core():
