@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import comb
@@ -46,12 +47,17 @@ EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_DATA = 65
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
 
 _BICLIQUE_WORK_CAP = 200_000
 
 
 class _UsageError(Exception):
     pass
+
+
+class _OutputError(Exception):
+    """``--out`` names a file that cannot be created or written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,12 +143,26 @@ def _read_input(path: str | None) -> str:
         return handle.read()
 
 
+def _check_out(out: str) -> None:
+    """Fail before any work when ``--out`` cannot be written; touch nothing."""
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder):
+        raise _OutputError(f"cannot write {out}: no directory {folder}")
+    if os.path.isdir(out):
+        raise _OutputError(f"cannot write {out}: it is a directory")
+    if not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        raise _OutputError(f"cannot write {out}: permission denied")
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {out}: {exc}") from None
 
 
 def _quasiwide_params(args, k: int) -> QuasiWideParams:
@@ -303,10 +323,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if args.out:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"tokenjump: error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except _OutputError as exc:
+        print(f"tokenjump: error: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
     except (InstanceFormatError, ReportFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"tokenjump: error: {exc}", file=sys.stderr)
         return EX_DATA

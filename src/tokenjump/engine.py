@@ -6,13 +6,16 @@ set instances use r_l = k-1, r_u = k; dominating set instances use r_l = k,
 r_u = k+1, which realizes single token jumps as remove/add (or add/remove)
 pairs through the off-size intermediate.
 
-The breadth-first search doubles as the final solver on kernels and as the
-oracle that soundness tests compare every reduction pipeline against.
+The search, ``bfs_reconfig``, is the final solver on kernels.  It is a
+two-sided breadth-first search over bitmask states: whole layers grow
+forward from the source or backward from the target, whichever frontier is
+smaller, until the two sides meet.  It returns the same witness as a
+one-sided FIFO search would: the lexicographically least sequence of toggled
+vertex ids among all shortest paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -94,24 +97,45 @@ def size_bounds(problem: Problem, k: int) -> tuple[int, int]:
 def bfs_reconfig(
     instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> SearchOutcome:
-    """Shortest-witness BFS from source to target over feasible states.
+    """Shortest-witness search from source to target over feasible states.
 
-    Moves are generated deterministically: removals in ascending vertex id,
-    then additions in ascending vertex id; each state keeps its first-discovery
-    parent, so the returned witness is stable across runs.  Returns EXHAUSTED
-    when the number of distinct discovered states would exceed the budget
-    before the question is resolved.
+    Each state has one kind of move: a state of size r_u only loses a vertex
+    and a state of size r_l only gains one.  Successors come from the set
+    bits of the state (removals) or of the vertices it may take (additions),
+    in ascending vertex id.  Each round expands one whole layer of the side
+    whose frontier is smaller, the forward side on ties.  The forward side
+    keeps first-discovery parents, the backward side distances to the target.
+
+    Witness rule: the lexicographically least sequence of toggled vertex ids
+    among all shortest paths.  Within a layer, first-discovery order is that
+    order, by induction on the layer, so a one-sided FIFO search returns the
+    same witness.  Both sides hold every state within their depth and share
+    none, so every state where they meet lies on a shortest path.  When a
+    forward layer meets the backward side, the first new forward state that
+    the backward side holds ends the prefix.  When a backward layer meets
+    the forward frontier, the rest of that layer is scanned without inserts,
+    and the first frontier state (in discovery order) that it met ends the
+    prefix.  The prefix is that
+    state's parent chain; the suffix steps to the successor with the least
+    toggled id that is one step closer to the target.
+
+    ``states_explored`` counts the distinct states of both sides.  The budget
+    is checked before each insert, so the count never exceeds
+    ``state_budget``; EXHAUSTED means an insert would have exceeded it before
+    the question was resolved.
     """
     if state_budget < 1:
         raise ValueError("state_budget must be >= 1")
-    g = instance.graph
-    r_l, r_u = size_bounds(instance.problem, instance.k)
-    verts, pos, nbr = bitset_index(g)
-    n = len(verts)
+    if instance.source == instance.target:
+        return SearchOutcome(Verdict.YES, ReconfSequence((instance.source,)), 1)
+    if state_budget < 2:  # the target would be the second state
+        return SearchOutcome(Verdict.EXHAUSTED, None, 1)
+    r_l, _ = size_bounds(instance.problem, instance.k)
+    verts, pos, nbr = bitset_index(instance.graph)
+    full = (1 << len(verts)) - 1
     isr = instance.problem is Problem.ISR
     if not isr:  # DSR covers with closed neighborhoods
         nbr = [mask | 1 << i for i, mask in enumerate(nbr)]
-        full = (1 << n) - 1
 
     def to_mask(s: frozenset[int]) -> int:
         m = 0
@@ -120,62 +144,98 @@ def bfs_reconfig(
         return m
 
     def to_set(mask: int) -> frozenset[int]:
-        return frozenset(verts[i] for i in range(n) if mask >> i & 1)
+        return frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
+
+    def successors(cur: int) -> list[int]:
+        """States one move from ``cur``, by ascending toggled vertex id."""
+        out = []
+        if cur.bit_count() > r_l:  # removals only
+            rest = cur
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if isr or cover_of(cur ^ low) == full:
+                    out.append(cur ^ low)
+            return out
+        # Additions only.  For DSR any superset of a dominating set dominates.
+        rest = full & ~(cur | cover_of(cur) if isr else cur)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out.append(cur | low)
+        return out
+
+    def cover_of(mask: int) -> int:
+        """The union of the neighbor masks of the members of ``mask``."""
+        cover = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            cover |= nbr[low.bit_length() - 1]
+        return cover
 
     src = to_mask(instance.source)
     tgt = to_mask(instance.target)
-    if src == tgt:
-        return SearchOutcome(Verdict.YES, ReconfSequence((instance.source,)), 1)
+    parent: dict[int, Optional[int]] = {src: None}  # forward side
+    dist = {tgt: 0}  # backward side: distance to the target
+    forward, backward = [src], [tgt]
 
-    parent: dict[int, Optional[int]] = {src: None}
-    queue: deque[int] = deque((src,))
-
-    def finish(goal: int) -> SearchOutcome:
+    def path_to(state: Optional[int]) -> list[int]:
+        """The forward parent chain from the source to ``state``."""
         chain = []
-        cur: Optional[int] = goal
-        while cur is not None:
-            chain.append(cur)
-            cur = parent[cur]
-        chain.reverse()
-        seq = ReconfSequence(tuple(to_set(m) for m in chain))
-        return SearchOutcome(Verdict.YES, seq, len(parent))
+        while state is not None:
+            chain.append(state)
+            state = parent[state]
+        return chain[::-1]
 
-    while queue:
-        cur = queue.popleft()
-        size = cur.bit_count()
-        members = [i for i in range(n) if cur >> i & 1]
-        neighbors: list[int] = []
-        if size - 1 >= r_l:
-            for i in members:
-                nm = cur & ~(1 << i)
-                if isr:
-                    neighbors.append(nm)
-                else:
-                    cover = 0
-                    for j in members:
-                        if j != i:
-                            cover |= nbr[j]
-                    if cover == full:
-                        neighbors.append(nm)
-        if size + 1 <= r_u:
-            for i in range(n):
-                if cur >> i & 1:
+    def finish(chain: list[int], d: int) -> SearchOutcome:
+        """``chain`` ends d steps from the target; the suffix is greedy."""
+        cur = chain[-1]
+        while d:
+            d -= 1
+            cur = next(nm for nm in successors(cur) if dist.get(nm) == d)
+            chain.append(cur)
+        seq = ReconfSequence(tuple(to_set(m) for m in chain))
+        return SearchOutcome(Verdict.YES, seq, len(parent) + len(dist))
+
+    depth = 0  # of the backward side
+    while forward and backward:
+        layer: list[int] = []
+        if len(forward) <= len(backward):
+            for cur in forward:
+                for nm in successors(cur):
+                    if nm in parent:
+                        continue
+                    if nm in dist:
+                        return finish(path_to(cur) + [nm], dist[nm])
+                    if len(parent) + len(dist) >= state_budget:
+                        return SearchOutcome(
+                            Verdict.EXHAUSTED, None, len(parent) + len(dist)
+                        )
+                    parent[nm] = cur
+                    layer.append(nm)
+            forward = layer
+            continue
+        met: set[int] = set()
+        for cur in backward:
+            for nm in successors(cur):
+                if nm in dist:
                     continue
-                if isr and nbr[i] & cur:
-                    continue
-                # For DSR any superset of a dominating set still dominates.
-                neighbors.append(cur | 1 << i)
-        for nm in neighbors:
-            if nm in parent:
-                continue
-            if nm == tgt:
-                parent[nm] = cur
-                return finish(nm)
-            if len(parent) >= state_budget:
-                return SearchOutcome(Verdict.EXHAUSTED, None, len(parent))
-            parent[nm] = cur
-            queue.append(nm)
-    return SearchOutcome(Verdict.NO, None, len(parent))
+                if nm in parent:
+                    met.add(nm)  # necessarily on the forward frontier
+                elif not met:
+                    if len(parent) + len(dist) >= state_budget:
+                        return SearchOutcome(
+                            Verdict.EXHAUSTED, None, len(parent) + len(dist)
+                        )
+                    dist[nm] = depth + 1
+                    layer.append(nm)
+        if met:
+            first = next(s for s in forward if s in met)
+            return finish(path_to(first), depth + 1)
+        backward = layer
+        depth += 1
+    return SearchOutcome(Verdict.NO, None, len(parent) + len(dist))
 
 
 def verify_sequence(instance: Instance, seq: ReconfSequence) -> Optional[Violation]:

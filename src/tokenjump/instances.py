@@ -145,9 +145,18 @@ def replay_reductions(graph: Graph, log: ReductionLog) -> Graph:
 # -- instance text -----------------------------------------------------------
 
 
+def _decode(data: str | bytes, error: type[ValueError]) -> str:
+    """Text as given, or UTF-8 bytes decoded; ``error`` names a bad byte's offset."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"input is not UTF-8: invalid byte at offset {exc.start}") from None
+
+
 def parse_instance(data: str | bytes) -> Instance:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = _decode(data, InstanceFormatError)
     header: tuple[Problem, int, int, int] | None = None
     edges: list[tuple[int, int]] = []
     edge_lines: dict[tuple[int, int], int] = {}
@@ -315,8 +324,7 @@ def serialize_report(outcome, log: ReductionLog, kernel: Graph, *, ms: int = 0) 
 
 def parse_report(data: str | bytes) -> dict:
     """Parse and validate a report; returns the JSON object (file coordinates)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    data = _decode(data, ReportFormatError)
     try:
         report = json.loads(data)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply

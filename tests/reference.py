@@ -13,27 +13,35 @@ import itertools
 import json
 import random
 from collections import deque
+from typing import Optional
 
 from tokenjump import (
+    DEFAULT_STATE_BUDGET,
     DegeneracyResult,
     Graph,
     InfeasibleInstanceError,
     Instance,
     Problem,
     ReductionLog,
+    ReconfSequence,
     ReductionStep,
     ScatteredCertificate,
+    SearchOutcome,
     SetFamily,
     Sunflower,
+    Verdict,
     bfs_reconfig,
     gen_random_degenerate,
     is_valid_sunflower,
     plant_isr_instance,
+    size_bounds,
 )
+from tokenjump.graph import bitset_index
 
 ISR_CORPUS_SIZE = 500
 DSR_CORPUS_SIZE = 300
 TINY_CORPUS_SIZE = 100
+NO_CORPUS_SIZE = 120  # per problem
 
 
 def independent(g: Graph, s) -> bool:
@@ -89,6 +97,95 @@ def materialized_distance(instance: Instance):
                 dist[nxt] = dist[cur] + 1
                 queue.append(nxt)
     return None
+
+
+# The one-sided FIFO search that the two-sided ``bfs_reconfig`` replaced,
+# kept as it was: the witness tests require both to return the same sequence.
+def fifo_bfs(
+    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET
+) -> SearchOutcome:
+    """Shortest-witness BFS from source to target over feasible states.
+
+    Moves are generated deterministically: removals in ascending vertex id,
+    then additions in ascending vertex id; each state keeps its first-discovery
+    parent, so the returned witness is stable across runs.  Returns EXHAUSTED
+    when the number of distinct discovered states would exceed the budget
+    before the question is resolved.
+    """
+    if state_budget < 1:
+        raise ValueError("state_budget must be >= 1")
+    g = instance.graph
+    r_l, r_u = size_bounds(instance.problem, instance.k)
+    verts, pos, nbr = bitset_index(g)
+    n = len(verts)
+    isr = instance.problem is Problem.ISR
+    if not isr:  # DSR covers with closed neighborhoods
+        nbr = [mask | 1 << i for i, mask in enumerate(nbr)]
+        full = (1 << n) - 1
+
+    def to_mask(s: frozenset[int]) -> int:
+        m = 0
+        for v in s:
+            m |= 1 << pos[v]
+        return m
+
+    def to_set(mask: int) -> frozenset[int]:
+        return frozenset(verts[i] for i in range(n) if mask >> i & 1)
+
+    src = to_mask(instance.source)
+    tgt = to_mask(instance.target)
+    if src == tgt:
+        return SearchOutcome(Verdict.YES, ReconfSequence((instance.source,)), 1)
+
+    parent: dict[int, Optional[int]] = {src: None}
+    queue: deque[int] = deque((src,))
+
+    def finish(goal: int) -> SearchOutcome:
+        chain = []
+        cur: Optional[int] = goal
+        while cur is not None:
+            chain.append(cur)
+            cur = parent[cur]
+        chain.reverse()
+        seq = ReconfSequence(tuple(to_set(m) for m in chain))
+        return SearchOutcome(Verdict.YES, seq, len(parent))
+
+    while queue:
+        cur = queue.popleft()
+        size = cur.bit_count()
+        members = [i for i in range(n) if cur >> i & 1]
+        neighbors: list[int] = []
+        if size - 1 >= r_l:
+            for i in members:
+                nm = cur & ~(1 << i)
+                if isr:
+                    neighbors.append(nm)
+                else:
+                    cover = 0
+                    for j in members:
+                        if j != i:
+                            cover |= nbr[j]
+                    if cover == full:
+                        neighbors.append(nm)
+        if size + 1 <= r_u:
+            for i in range(n):
+                if cur >> i & 1:
+                    continue
+                if isr and nbr[i] & cur:
+                    continue
+                # For DSR any superset of a dominating set still dominates.
+                neighbors.append(cur | 1 << i)
+        for nm in neighbors:
+            if nm in parent:
+                continue
+            if nm == tgt:
+                parent[nm] = cur
+                return finish(nm)
+            if len(parent) >= state_budget:
+                return SearchOutcome(Verdict.EXHAUSTED, None, len(parent))
+            parent[nm] = cur
+            queue.append(nm)
+    return SearchOutcome(Verdict.NO, None, len(parent))
 
 
 def check_reduction_log(inst: Instance, log, kernel_graph: Graph) -> None:
@@ -398,3 +495,35 @@ def sparse_corpus() -> list[Instance]:
             corpus.append(inst)
         _cache["sparse"] = corpus
     return _cache["sparse"]
+
+
+def no_instance_corpus() -> list[Instance]:
+    """120 ISR and 120 DSR no-instances on G(n, p), n = 6-11, k = 2-3.
+
+    Both endpoints are drawn from all feasible k-sets, and the draws the
+    one-sided search answers "yes" are dropped.  p is dense for ISR and
+    middling for DSR, where about one draw in ten and one in twenty is a
+    no-instance.
+    """
+    if "no" not in _cache:
+        rng = random.Random(0x5EED5)
+        corpus = []
+        for problem, lo, hi in ((Problem.ISR, 0.5, 0.75), (Problem.DSR, 0.3, 0.5)):
+            found = 0
+            while found < NO_CORPUS_SIZE:
+                n, k, p = rng.randint(6, 11), rng.randint(2, 3), rng.uniform(lo, hi)
+                pairs = itertools.combinations(range(n), 2)
+                g = Graph(range(n), [e for e in pairs if rng.random() < p])
+                sets = [
+                    frozenset(c)
+                    for c in itertools.combinations(range(n), k)
+                    if feasible(g, problem, c)
+                ]
+                if len(sets) < 2:
+                    continue
+                inst = Instance(problem, g, k, *rng.sample(sets, 2))
+                if fifo_bfs(inst).verdict is Verdict.NO:
+                    corpus.append(inst)
+                    found += 1
+        _cache["no"] = corpus
+    return _cache["no"]

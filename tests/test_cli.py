@@ -359,3 +359,45 @@ def test_fuzzed_instance_keeps_exit_code_contract(data):
 @given(INSTANCES, REPORTS)
 def test_fuzzed_verify_keeps_exit_code_contract(instance, report):
     assert_contract(*run_on_files(["verify"], instance, report))
+
+
+@pytest.mark.parametrize("command", ["solve", "kernelize", "verify"])
+def test_out_into_missing_directory_exits_73_before_work(
+    capsys, monkeypatch, tmp_path, p4_file, command
+):
+    report = tmp_path / "r.json"
+    assert main(["solve", p4_file, "--out", str(report)]) == 0
+    argv = [command, p4_file] + ([str(report)] if command == "verify" else [])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the instance was read before --out was checked")
+
+    monkeypatch.setattr(cli, "parse_instance", no_work)
+    out_path = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 73 and out == ""
+    assert err.startswith("tokenjump: error: ") and err.count("\n") == 1
+    assert not out_path.parent.exists()
+
+
+def test_out_that_is_a_directory_exits_73(capsys, tmp_path, p4_file):
+    code, out, err = run(capsys, "solve", p4_file, "--out", str(tmp_path))
+    assert code == 73 and out == ""
+    assert err.startswith("tokenjump: error: ")
+
+
+def test_write_failure_after_the_check_exits_73(capsys, monkeypatch, tmp_path, p4_file):
+    monkeypatch.setattr(cli, "_check_out", lambda out: None)
+    out_path = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "solve", p4_file, "--out", str(out_path))
+    assert code == 73 and out == ""
+    assert err.startswith("tokenjump: error: cannot write ")
+
+
+def test_out_is_not_created_when_the_input_is_bad(capsys, tmp_path):
+    bad = tmp_path / "bad.isr"
+    bad.write_text("p isr 2 1 1\n")
+    out_path = tmp_path / "r.json"
+    code, _, _ = run(capsys, "solve", str(bad), "--out", str(out_path))
+    assert code == 65
+    assert not out_path.exists()

@@ -219,3 +219,13 @@ def test_parse_report_rejects_corruption(corrupt):
 def test_parse_report_rejects_non_json():
     with pytest.raises(ReportFormatError):
         parse_report("not json at all")
+
+
+def test_parse_instance_rejects_non_utf8_bytes_with_offset():
+    with pytest.raises(InstanceFormatError, match="offset 12"):
+        parse_instance(b"p isr 2 0 1\n\xff\n")
+
+
+def test_parse_report_rejects_non_utf8_bytes_with_offset():
+    with pytest.raises(ReportFormatError, match="offset 1"):
+        parse_report(b"{\xff}")
