@@ -5,16 +5,25 @@ and an irrelevant-vertex rule that extracts a sunflower with 2k petals from
 the closed neighborhoods of low-degree vertices whenever there are more of
 them than ``low_degree_threshold(d, k)``.  Every deletion carries a
 certificate that can be re-checked by replaying the log.
+
+Both ISR kernels, this one and the scattered-set kernel in ``quasiwide``,
+reduce one ``Workspace``: a bitset copy of the graph built once per
+kernelization and updated only around each deleted vertex.  The twin groups,
+the degeneracy and the low-degree vertices are maintained, not recomputed,
+so a deletion costs time near the deleted vertex, not in the whole graph.
+The immutable ``Graph`` of the kernel is built once, at the end.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import degeneracy_order
+from .graph import Graph, bitset_index, degeneracy_order, set_bits
 from .instances import (
     RULE_SUNFLOWER,
     RULE_TWIN,
@@ -31,7 +40,6 @@ __all__ = [
     "kernel_vertex_bound",
     "remove_closed_twins",
     "reduce_low_degree_once",
-    "reduce_to_fixpoint",
     "kernelize_degenerate",
     "solve_isr_degenerate",
 ]
@@ -61,6 +69,220 @@ def _require_isr(inst: Instance) -> None:
         raise ValueError("this reduction applies to ISR instances only")
 
 
+class Workspace:
+    """A graph being reduced: bitsets edited in place, and the log so far.
+
+    Holds the ascending vertex ids, their bit positions, the open neighbor
+    masks, the masks of live and anchor positions, and a cache of closed
+    neighborhoods as id sets.  Once ``remove_twins`` has run, it also keeps
+    the live non-anchor positions grouped by closed neighborhood mask.
+    ``delete`` clears the deleted bit from its neighbors' masks and re-keys
+    their groups; rules that keep more state extend it.
+    """
+
+    def __init__(self, graph: Graph, anchors: frozenset[int] = frozenset()) -> None:
+        self.graph = graph
+        self.anchors = anchors
+        self.verts, self.pos, self.nbr = bitset_index(graph)
+        self.alive = (1 << len(self.verts)) - 1
+        self.anchor_mask = 0
+        for v in anchors:
+            self.anchor_mask |= 1 << self.pos[v]
+        self.log = ReductionLog()
+        self._closed: dict[int, frozenset[int]] = {}
+        self._groups: Optional[dict[int, list[int]]] = None
+        self._rekeyed: list[int] = []
+
+    def closed_set(self, i: int) -> frozenset[int]:
+        """Closed neighborhood of position i, as vertex ids."""
+        closed = self._closed.get(i)
+        if closed is None:
+            verts = self.verts
+            closed = frozenset([verts[j] for j in set_bits(self.nbr[i] | 1 << i)])
+            self._closed[i] = closed
+        return closed
+
+    def delete(self, i: int, step: ReductionStep) -> int:
+        """Delete position i, logging ``step``; returns i's neighbor mask."""
+        self.log.append(step)
+        bit = 1 << i
+        nb = self.nbr[i]
+        self.nbr[i] = 0
+        self.alive ^= bit
+        self._closed.pop(i, None)
+        groups = self._groups
+        if groups is not None:
+            self._ungroup(i, nb | bit)
+        for w in set_bits(nb):
+            old = self.nbr[w]
+            self.nbr[w] = old ^ bit
+            self._closed.pop(w, None)
+            if groups is not None and not self.anchor_mask >> w & 1:
+                self._ungroup(w, old | 1 << w)
+                groups.setdefault(self.nbr[w] | 1 << w, []).append(w)
+                self._rekeyed.append(w)
+        return nb
+
+    def _ungroup(self, i: int, key: int) -> None:
+        group = self._groups[key]
+        if len(group) == 1:
+            del self._groups[key]
+        else:
+            group.remove(i)
+
+    def remove_twins(self) -> None:
+        """Delete all closed twins outside the anchors but the least of each group.
+
+        The first call groups every live non-anchor position.  Later calls
+        look only at the groups of positions re-keyed since, which is where
+        a deletion can have made new twins (see ``remove_closed_twins``).
+        """
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = {}
+            nbr = self.nbr
+            for i in set_bits(self.alive & ~self.anchor_mask):
+                groups.setdefault(nbr[i] | 1 << i, []).append(i)
+            twins = [group[:] for group in groups.values() if len(group) > 1]
+        else:
+            nbr = self.nbr
+            keys = {nbr[w] | 1 << w for w in self._rekeyed}
+            twins = sorted(sorted(groups[key]) for key in keys if len(groups[key]) > 1)
+        verts = self.verts
+        for survivor, *doomed in twins:
+            for v in doomed:
+                self.delete(v, ReductionStep(RULE_TWIN, verts[v], {"survivor": verts[survivor]}))
+        self._rekeyed.clear()
+
+    def run(self, rule: Callable[[], Optional[ReductionStep]]) -> None:
+        """Alternate twin removal and one deletion by ``rule`` until it finds none."""
+        self.remove_twins()
+        while rule() is not None:
+            self.remove_twins()
+
+    def reduced(self, inst: Instance) -> Instance:
+        """``inst`` on the live vertices; ``inst`` itself if nothing was deleted."""
+        if not self.log.steps:
+            return inst
+        verts = self.verts
+        live = [verts[i] for i in set_bits(self.alive)]
+        return inst.with_graph(self.graph.induced_subgraph(live))
+
+
+def _degeneracy_core(nbr: list[int], alive: int) -> tuple[int, int]:
+    """Degeneracy d of the live graph and its d-core, as a mask.
+
+    Peels a vertex of least degree at a time from a heap, as
+    ``degeneracy_order`` does.  The vertices left when the peeled degree
+    first reaches its maximum d form the d-core.
+    """
+    degs = {i: nbr[i].bit_count() for i in set_bits(alive)}
+    heap = [(deg, i) for i, deg in degs.items()]
+    heapq.heapify(heap)
+    d, core, left = 0, alive, alive
+    while heap:
+        deg, i = heapq.heappop(heap)
+        if degs.get(i) != deg:
+            continue
+        del degs[i]
+        if deg > d:
+            d, core = deg, left
+        left ^= 1 << i
+        for w in set_bits(nbr[i]):
+            if w in degs:
+                degs[w] -= 1
+                heapq.heappush(heap, (degs[w], w))
+    return d, core
+
+
+class _LowDegreeWorkspace(Workspace):
+    """Workspace for the low-degree rule.
+
+    Maintains the degeneracy d, the d-core and the sorted list of live
+    non-anchor positions of degree at most 2d, with their closed
+    neighborhoods once the rule has needed them.  Deleting a core vertex
+    peels the core vertices left with fewer than d core neighbors, as in
+    Batagelj and Zaversnik's core decomposition; d never rises under
+    deletions, and it is recomputed only when the d-core empties.  A ``d``
+    given at construction is used as is and not maintained.
+    """
+
+    def __init__(self, inst: Instance, d: Optional[int] = None) -> None:
+        super().__init__(inst.graph, inst.anchors)
+        self.k = inst.k
+        if d is None:
+            self.d, self._core = _degeneracy_core(self.nbr, self.alive)
+        else:
+            self.d, self._core = d, None
+        self._set_low()
+
+    def _set_low(self) -> None:
+        nbr, bound = self.nbr, 2 * self.d
+        self._low = [
+            i for i in set_bits(self.alive & ~self.anchor_mask) if nbr[i].bit_count() <= bound
+        ]
+        self._family: Optional[list[frozenset[int]]] = None
+
+    def delete(self, i: int, step: ReductionStep) -> int:
+        nb = super().delete(i, step)
+        nbr, low, family, bound = self.nbr, self._low, self._family, 2 * self.d
+        if nb.bit_count() <= bound:
+            j = bisect_left(low, i)
+            del low[j]
+            if family is not None:
+                del family[j]
+        for w in set_bits(nb & ~self.anchor_mask):
+            degree = nbr[w].bit_count()
+            if degree > bound:
+                continue
+            j = bisect_left(low, w)
+            if degree == bound:
+                low.insert(j, w)
+                if family is not None:
+                    family.insert(j, self.closed_set(w))
+            elif family is not None:
+                family[j] = self.closed_set(w)
+        if self._core is not None and self._core >> i & 1:
+            self._peel_core(i, nb)
+        return nb
+
+    def _peel_core(self, i: int, nb: int) -> None:
+        nbr, d = self.nbr, self.d
+        core = self._core ^ 1 << i
+        stack = list(set_bits(nb & core))
+        while stack:
+            w = stack.pop()
+            if core >> w & 1 and (nbr[w] & core).bit_count() < d:
+                core ^= 1 << w
+                stack.extend(set_bits(nbr[w] & core))
+        self._core = core
+        if not core and self.alive:
+            self.d, self._core = _degeneracy_core(nbr, self.alive)
+            self._set_low()
+
+    def low_degree_once(self) -> Optional[ReductionStep]:
+        """One deletion by the low-degree rule; see ``reduce_low_degree_once``."""
+        d, k, low = self.d, self.k, self._low
+        if len(low) <= low_degree_threshold(d, k):
+            return None
+        if self._family is None:
+            self._family = [self.closed_set(i) for i in low]
+        family = SetFamily(self._family, card_bound=2 * d + 1)
+        flower = find_sunflower(family, 2 * k)
+        if flower is None or len(flower.petal_indices) < 2 * k:
+            raise RuntimeError(
+                "sunflower extraction failed above the guarantee threshold"
+            )
+        centers = [self.verts[low[i]] for i in flower.petal_indices]
+        step = ReductionStep(
+            RULE_SUNFLOWER,
+            centers[0],
+            {"core": sorted(flower.core), "petal_centers": centers},
+        )
+        self.delete(low[flower.petal_indices[0]], step)
+        return step
+
+
 def remove_closed_twins(inst: Instance) -> tuple[Instance, ReductionLog]:
     """Delete one of any pair of closed twins outside the solution sets.
 
@@ -71,22 +293,15 @@ def remove_closed_twins(inst: Instance) -> tuple[Instance, ReductionLog]:
     one of them not adjacent to v would contain u (or be u), and so be
     adjacent to v after all.  The twin groups are therefore built in one scan;
     each keeps its smallest member, and groups are emptied in order of that
-    member, the order of rescanning after every deletion.
+    member, the order of rescanning after every deletion.  Any other deletion
+    can make new twins only of a neighbor w1 of the deleted vertex, whose
+    closed neighborhood changed, with some w2 whose closed neighborhood now
+    equals it; so after one, the kernels look only at their groups.
     """
     _require_isr(inst)
-    g = inst.graph
-    anchors = inst.anchors
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in g.vertices:
-        if v not in anchors:
-            groups.setdefault(g.closed_neighbor_set(v), []).append(v)
-    log = ReductionLog()
-    for survivor, *doomed in groups.values():
-        for v in doomed:
-            log.append(ReductionStep(RULE_TWIN, v, {"survivor": survivor}))
-    if log.steps:
-        g = g.induced_subgraph(g.vertex_set.difference(log.deleted_vertices()))
-    return inst.with_graph(g), log
+    ws = Workspace(inst.graph, inst.anchors)
+    ws.remove_twins()
+    return ws.reduced(inst), ws.log
 
 
 def reduce_low_degree_once(
@@ -103,62 +318,25 @@ def reduce_low_degree_once(
     _require_isr(inst)
     if d < 0:
         raise ValueError("d must be >= 0")
-    g = inst.graph
-    anchors = inst.anchors
-    low = [v for v in g.vertices if v not in anchors and g.degree(v) <= 2 * d]
-    if len(low) <= low_degree_threshold(d, inst.k):
-        return None
-    family = SetFamily(
-        [g.closed_neighbor_set(b) for b in low], card_bound=2 * d + 1
-    )
-    flower = find_sunflower(family, 2 * inst.k)
-    if flower is None or len(flower.petal_indices) < 2 * inst.k:
-        raise RuntimeError(
-            "sunflower extraction failed above the guarantee threshold"
-        )
-    centers = [low[i] for i in flower.petal_indices]
-    center = centers[0]
-    step = ReductionStep(
-        RULE_SUNFLOWER,
-        center,
-        {"core": sorted(flower.core), "petal_centers": centers},
-    )
-    return inst.with_graph(g.delete_vertex(center)), step
-
-
-Rule = Callable[[Instance], Optional[tuple[Instance, ReductionStep]]]
-
-
-def reduce_to_fixpoint(inst: Instance, rule: Rule) -> tuple[Instance, ReductionLog]:
-    """Alternate twin removal and one deletion by ``rule`` until it finds none.
-
-    Both ISR kernels share this loop; they differ only in the rule that finds
-    the certifying sunflower.
-    """
-    cur = inst
-    log = ReductionLog()
-    while True:
-        cur, twin_log = remove_closed_twins(cur)
-        log.extend(twin_log.steps)
-        reduced = rule(cur)
-        if reduced is None:
-            return cur, log
-        cur, step = reduced
-        log.append(step)
+    ws = _LowDegreeWorkspace(inst, d)
+    step = ws.low_degree_once()
+    return None if step is None else (ws.reduced(inst), step)
 
 
 def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
     """Alternate twin removal and the low-degree rule to a fixpoint.
 
-    The degeneracy is recomputed before every attempt, so the threshold only
-    shrinks as the graph does.  The certified size bound is checked before
-    returning; a violation signals an implementation bug, not bad input.
+    The degeneracy is maintained under every deletion, so each attempt uses
+    the degeneracy of the current graph and the threshold only shrinks as
+    the graph does.  The certified size bound is checked before returning,
+    with the degeneracy recomputed from the kernel if anything was deleted;
+    a violation signals an implementation bug, not bad input.
     """
     _require_isr(inst)
-    cur, log = reduce_to_fixpoint(
-        inst, lambda cur: reduce_low_degree_once(cur, degeneracy_order(cur.graph).d)
-    )
-    d = degeneracy_order(cur.graph).d
+    ws = _LowDegreeWorkspace(inst)
+    ws.run(ws.low_degree_once)
+    cur = ws.reduced(inst)
+    d = degeneracy_order(cur.graph).d if ws.log.steps else ws.d
     low_bound = low_degree_threshold(d, cur.k)
     total_bound = kernel_vertex_bound(d, cur.k)
     anchors = cur.anchors
@@ -167,11 +345,16 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
         1 for v in g.vertices if v not in anchors and g.degree(v) <= 2 * d
     )
     non_anchor = g.n - len(anchors & g.vertex_set)
-    if low_count > low_bound or non_anchor > (2 * d + 1) * low_bound or g.n > total_bound:
+    if (
+        d != ws.d
+        or low_count > low_bound
+        or non_anchor > (2 * d + 1) * low_bound
+        or g.n > total_bound
+    ):
         raise RuntimeError("kernel bound violated; this is an internal error")
     return DegenerateKernel(
         kernel=cur,
-        log=log,
+        log=ws.log,
         d=d,
         low_degree_bound=low_bound,
         kernel_bound=total_bound,

@@ -164,6 +164,14 @@ def bitset_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
     return verts, pos, nbr
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def contains_biclique(g: Graph, d: int) -> bool:
     """Whether K_{d,d} occurs as a (not necessarily induced) subgraph.
 

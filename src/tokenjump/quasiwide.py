@@ -12,6 +12,10 @@ The thresholds the enabling theory derives from a graph class are not
 computable from a single input graph, so they are exposed as tunable search
 budgets.  A deletion is performed only after the sunflower has been
 constructed and validated, so correctness never depends on the parameters.
+
+The kernel reduces one ``degenerate.Workspace`` from start to fixpoint.
+Anchors are never deleted, so the classes are computed once, and each
+radius-2 ball is computed once and kept until a deletion inside it.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .degenerate import reduce_to_fixpoint
+from .degenerate import Workspace
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, bitset_index
+from .graph import Graph, bitset_index, set_bits
 from .instances import (
     RULE_QUASIWIDE,
     Instance,
@@ -86,25 +90,8 @@ def partition_by_solution_neighborhood(
     return {key: tuple(vs) for key, vs in classes.items()}
 
 
-def _ball2(g: Graph, v: int, blocked: frozenset[int]) -> frozenset[int]:
-    """Closed radius-2 ball around v in the graph minus ``blocked``."""
-    first = g.neighbor_set(v) - blocked
-    ball = set(first)
-    ball.add(v)
-    for w in first:
-        ball.update(g.neighbor_set(w) - blocked)
-    return frozenset(ball)
-
-
-def _scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
-    if cert.scattered & cert.deleted:
-        return False
-    balls = [_ball2(g, v, cert.deleted) for v in cert.scattered]
-    return sum(map(len, balls)) == len(set().union(*balls))
-
-
 def _ball2_mask(nbr: list[int], i: int, blocked: int) -> int:
-    """Bitmask form of ``_ball2``: the radius-2 ball of bit i minus ``blocked``."""
+    """The closed radius-2 ball of bit i in the graph minus ``blocked``."""
     first = nbr[i] & ~blocked
     ball = first | 1 << i
     while first:
@@ -114,59 +101,152 @@ def _ball2_mask(nbr: list[int], i: int, blocked: int) -> int:
     return ball & ~blocked
 
 
-def _search_scattered(
-    g: Graph,
-    pool: list[int],
-    params: QuasiWideParams,
-    required: Callable[[int], int],
-) -> Optional[ScatteredCertificate]:
-    """Enumerate deletion sets by increasing size, high-degree vertices first.
+def _balls_disjoint(nbr: list[int], chosen: list[int], blocked: int) -> bool:
+    """Whether the chosen bits avoid ``blocked`` and have pairwise disjoint balls."""
+    used = 0
+    for i in chosen:
+        if blocked >> i & 1:
+            return False
+        ball = _ball2_mask(nbr, i, blocked)
+        if used & ball:
+            return False
+        used |= ball
+    return True
 
-    For each candidate B, a greedy ascending-id sweep picks vertices of the
-    pool whose radius-2 balls in the graph minus B are pairwise disjoint; the
-    candidate succeeds when at least ``required(|B|)`` are found, and a sweep
-    stops once that is out of reach.  Balls are computed once in g; only a
-    vertex with a neighbor in B needs its ball recomputed in g minus B.  The
-    sweep runs on bitmasks for speed; every certificate is re-validated with
-    plain set arithmetic before it is returned.
+
+def _scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
+    """Whether the certificate's balls in g minus its deletion set are disjoint."""
+    _verts, pos, nbr = bitset_index(g)
+    blocked = 0
+    for v in cert.deleted:
+        blocked |= 1 << pos[v]
+    return _balls_disjoint(nbr, [pos[v] for v in cert.scattered], blocked)
+
+
+class _ScatteredWorkspace(Workspace):
+    """Workspace for the scattered-set rule.
+
+    "Rest", the graph the search runs in, is the live non-anchor part.
+    Anchors are never deleted, so no vertex changes its anchor class: the
+    classes are computed once and keep their live members in ascending
+    order.  Each pool vertex's radius-2 ball in the rest is cached across
+    deletions; a deletion drops the balls it lay in.
     """
-    verts, pos, nbr = bitset_index(g)
-    pool_idx = [pos[v] for v in pool if v in pos]
-    balls = {i: _ball2_mask(nbr, i, 0) for i in pool_idx}
-    ranked: list[int] = []
-    budget = params.search_budget
-    for size in range(params.max_deletions + 1):
-        need = required(size)
-        if size == 1:
-            ranked = sorted(verts, key=lambda v: (-g.degree(v), v))
-        for combo in itertools.combinations(ranked, size):
-            if budget <= 0:
-                return None
-            budget -= 1
-            blocked = 0
-            for v in combo:
-                blocked |= 1 << pos[v]
-            candidates = [i for i in pool_idx if not blocked >> i & 1]
-            left = len(candidates)
-            used = 0
-            chosen: list[int] = []
-            for i in candidates:
-                if len(chosen) + left < need:
-                    break
-                left -= 1
-                if nbr[i] & blocked:
-                    ball = _ball2_mask(nbr, i, blocked)
-                else:
-                    ball = balls[i] & ~blocked
-                if used & ball:
-                    continue
-                chosen.append(verts[i])
-                used |= ball
-            if len(chosen) >= need:
-                cert = ScatteredCertificate(frozenset(combo), frozenset(chosen))
-                if _scattered_valid(g, cert):
-                    return cert
-    return None
+
+    def __init__(self, graph: Graph, anchors: frozenset[int] = frozenset()) -> None:
+        super().__init__(graph, anchors)
+        pos = self.pos
+        self._classes = {
+            tuple(sorted(key)): [pos[v] for v in vs]
+            for key, vs in partition_by_solution_neighborhood(graph, anchors).items()
+        }
+        self._class_of = {i: vs for vs in self._classes.values() for i in vs}
+        self._balls: dict[int, int] = {}
+
+    def delete(self, i: int, step: ReductionStep) -> int:
+        nb = super().delete(i, step)
+        self._class_of.pop(i).remove(i)
+        first = nb & ~self.anchor_mask
+        near = first | 1 << i
+        for w in set_bits(first):
+            near |= self.nbr[w]
+        for j in set_bits(near & ~self.anchor_mask):
+            self._balls.pop(j, None)
+        return nb
+
+    def search(
+        self, pool: list[int], params: QuasiWideParams, required: Callable[[int], int]
+    ) -> Optional[tuple[int, list[int]]]:
+        """Enumerate deletion sets by increasing size, high-degree vertices first.
+
+        For each candidate B, a greedy ascending-id sweep picks vertices of the
+        pool whose radius-2 balls in the rest minus B are pairwise disjoint;
+        the candidate succeeds when at least ``required(|B|)`` are found, and a
+        sweep stops once that is out of reach.  Only a vertex with a neighbor
+        in B needs its ball recomputed; the others use the cached ball.  The
+        balls of a success are recomputed from the adjacency masks before B's
+        mask and the chosen positions are returned.
+        """
+        nbr, anchors, balls = self.nbr, self.anchor_mask, self._balls
+        rest = self.alive & ~anchors
+        ranked: list[int] = []
+        budget = params.search_budget
+        for size in range(params.max_deletions + 1):
+            need = required(size)
+            if size == 1:
+                ranked = sorted(
+                    set_bits(rest), key=lambda i: (-(nbr[i] & rest).bit_count(), i)
+                )
+            for combo in itertools.combinations(ranked, size):
+                if budget <= 0:
+                    return None
+                budget -= 1
+                blocked = 0
+                for i in combo:
+                    blocked |= 1 << i
+                candidates = [i for i in pool if not blocked >> i & 1]
+                left = len(candidates)
+                used = 0
+                chosen: list[int] = []
+                for i in candidates:
+                    if len(chosen) + left < need:
+                        break
+                    left -= 1
+                    if nbr[i] & blocked:
+                        ball = _ball2_mask(nbr, i, blocked | anchors)
+                    else:
+                        ball = balls.get(i)
+                        if ball is None:
+                            ball = balls[i] = _ball2_mask(nbr, i, anchors)
+                        ball &= ~blocked
+                    if used & ball:
+                        continue
+                    chosen.append(i)
+                    used |= ball
+                if len(chosen) >= need and _balls_disjoint(nbr, chosen, blocked | anchors):
+                    return blocked, chosen
+        return None
+
+    def scattered_once(self, k: int, params: QuasiWideParams) -> Optional[ReductionStep]:
+        """One deletion by the scattered-set rule; see ``reduce_quasiwide_once``."""
+        two_k = 2 * k
+        oversized = [
+            (-len(vs), key, vs)
+            for key, vs in self._classes.items()
+            if len(vs) > params.class_threshold
+        ]
+        if not oversized:
+            return None
+        found = self.search(min(oversized)[2], params, lambda size: two_k << size)
+        if found is None:
+            return None
+        blocked, chosen = found
+        cells: dict[int, list[int]] = {}
+        for a in chosen:
+            cells.setdefault(self.nbr[a] & blocked, []).append(a)
+        petals = min(cells.items(), key=lambda kv: (-len(kv[1]), list(set_bits(kv[0]))))[1]
+        family = SetFamily([self.closed_set(a) for a in petals])
+        core = family.members[0] & family.members[1]
+        flower = Sunflower(core=core, petal_indices=tuple(range(len(petals))))
+        verts = self.verts
+        deleted = frozenset(verts[i] for i in set_bits(blocked))
+        if not (
+            is_valid_sunflower(family, flower, petals_wanted=two_k)
+            and core <= deleted | self.anchors
+        ):
+            raise RuntimeError("scattered-set sunflower failed validation")
+        centers = [verts[a] for a in petals]
+        step = ReductionStep(
+            RULE_QUASIWIDE,
+            centers[0],
+            {
+                "core": sorted(core),
+                "petal_centers": centers,
+                "deletions": sorted(deleted),
+            },
+        )
+        self.delete(petals[0], step)
+        return step
 
 
 def find_scattered_with_deletions(
@@ -179,7 +259,22 @@ def find_scattered_with_deletions(
     unknown = w - g.vertex_set
     if unknown:
         raise KeyError(f"vertex {min(unknown)} not in graph")
-    return _search_scattered(g, sorted(w), params, lambda _size: target)
+    ws = _ScatteredWorkspace(g)
+    found = ws.search(sorted(ws.pos[v] for v in w), params, lambda _size: target)
+    if found is None:
+        return None
+    blocked, chosen = found
+    return ScatteredCertificate(
+        frozenset(ws.verts[i] for i in set_bits(blocked)),
+        frozenset(ws.verts[i] for i in chosen),
+    )
+
+
+def _check_request(inst: Instance, params: QuasiWideParams) -> None:
+    if inst.problem is not Problem.ISR:
+        raise ValueError("this reduction applies to ISR instances only")
+    if params.class_threshold < 2 * inst.k:
+        raise ValueError(f"class_threshold must be >= 2k = {2 * inst.k}")
 
 
 def reduce_quasiwide_once(
@@ -197,57 +292,20 @@ def reduce_quasiwide_once(
     some cell holds 2k vertices, and the scattered balls make their closed
     neighborhoods meet exactly in the shared anchor and B neighbors.
     """
-    if inst.problem is not Problem.ISR:
-        raise ValueError("this reduction applies to ISR instances only")
-    two_k = 2 * inst.k
-    if params.class_threshold < two_k:
-        raise ValueError(f"class_threshold must be >= 2k = {two_k}")
-    g = inst.graph
-    anchors = inst.anchors
-    classes = partition_by_solution_neighborhood(g, anchors)
-    oversized = [
-        (len(vs), tuple(sorted(key)), vs)
-        for key, vs in classes.items()
-        if len(vs) > params.class_threshold
-    ]
-    if not oversized:
-        return None
-    oversized.sort(key=lambda t: (-t[0], t[1]))
-    pool = list(oversized[0][2])
-    rest = g.induced_subgraph([v for v in g.vertices if v not in anchors])
-    cert = _search_scattered(rest, pool, params, lambda size: two_k << size)
-    if cert is None:
-        return None
-    cells: dict[frozenset[int], list[int]] = {}
-    for a in sorted(cert.scattered):
-        cells.setdefault(g.neighbor_set(a) & cert.deleted, []).append(a)
-    petals = min(cells.items(), key=lambda kv: (-len(kv[1]), sorted(kv[0])))[1]
-    family = SetFamily([g.closed_neighbor_set(a) for a in petals])
-    core = family.members[0] & family.members[1]
-    flower = Sunflower(core=core, petal_indices=tuple(range(len(petals))))
-    if not (
-        is_valid_sunflower(family, flower, petals_wanted=two_k)
-        and core <= cert.deleted | anchors
-    ):
-        raise RuntimeError("scattered-set sunflower failed validation")
-    center = petals[0]
-    step = ReductionStep(
-        RULE_QUASIWIDE,
-        center,
-        {
-            "core": sorted(core),
-            "petal_centers": list(petals),
-            "deletions": sorted(cert.deleted),
-        },
-    )
-    return inst.with_graph(g.delete_vertex(center)), step
+    _check_request(inst, params)
+    ws = _ScatteredWorkspace(inst.graph, inst.anchors)
+    step = ws.scattered_once(inst.k, params)
+    return None if step is None else (ws.reduced(inst), step)
 
 
 def kernelize_quasiwide(
     inst: Instance, params: QuasiWideParams
 ) -> tuple[Instance, ReductionLog]:
     """Alternate twin removal and the scattered-set rule to a fixpoint."""
-    return reduce_to_fixpoint(inst, lambda cur: reduce_quasiwide_once(cur, params))
+    _check_request(inst, params)
+    ws = _ScatteredWorkspace(inst.graph, inst.anchors)
+    ws.run(lambda: ws.scattered_once(inst.k, params))
+    return ws.reduced(inst), ws.log
 
 
 def solve_isr_quasiwide(

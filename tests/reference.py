@@ -17,6 +17,7 @@ from typing import Optional
 
 from tokenjump import (
     DEFAULT_STATE_BUDGET,
+    QuasiWideParams,
     DegeneracyResult,
     Graph,
     InfeasibleInstanceError,
@@ -31,12 +32,17 @@ from tokenjump import (
     Sunflower,
     Verdict,
     bfs_reconfig,
+    find_sunflower,
     gen_random_degenerate,
     is_valid_sunflower,
+    kernel_vertex_bound,
+    low_degree_threshold,
+    partition_by_solution_neighborhood,
     plant_isr_instance,
     size_bounds,
 )
 from tokenjump.graph import bitset_index
+from tokenjump.graph import degeneracy_order as heap_degeneracy_order
 
 ISR_CORPUS_SIZE = 500
 DSR_CORPUS_SIZE = 300
@@ -361,6 +367,177 @@ def log_digest(runs) -> str:
     return h.hexdigest()
 
 
+# -- the per-deletion ISR kernels that the reduction workspace replaced ------
+# Kept as they were, with the rescanning twin removal above: every deletion
+# restarts twin removal, the degeneracy order, the low-degree family, the
+# anchor classes and every radius-2 ball.  The kernel tests require the
+# workspace kernels to return the same logs, kernels and d.
+
+
+def reduce_to_fixpoint(inst: Instance, rule) -> tuple[Instance, ReductionLog]:
+    """Alternate twin removal and one deletion by ``rule`` until it finds none."""
+    cur = inst
+    log = ReductionLog()
+    while True:
+        cur, twin_log = remove_closed_twins(cur)
+        log.extend(twin_log.steps)
+        reduced = rule(cur)
+        if reduced is None:
+            return cur, log
+        cur, step = reduced
+        log.append(step)
+
+
+def reduce_low_degree_once(inst: Instance, d: int):
+    """Delete one petal centre of a sunflower among the degree-<=2d closed
+    neighbourhoods, or return None at or below the threshold."""
+    g = inst.graph
+    anchors = inst.anchors
+    low = [v for v in g.vertices if v not in anchors and g.degree(v) <= 2 * d]
+    if len(low) <= low_degree_threshold(d, inst.k):
+        return None
+    family = SetFamily(
+        [g.closed_neighbor_set(b) for b in low], card_bound=2 * d + 1
+    )
+    flower = find_sunflower(family, 2 * inst.k)
+    if flower is None or len(flower.petal_indices) < 2 * inst.k:
+        raise RuntimeError(
+            "sunflower extraction failed above the guarantee threshold"
+        )
+    centers = [low[i] for i in flower.petal_indices]
+    center = centers[0]
+    step = ReductionStep(
+        "sunflower-degenerate",
+        center,
+        {"core": sorted(flower.core), "petal_centers": centers},
+    )
+    return inst.with_graph(g.delete_vertex(center)), step
+
+
+def kernelize_degenerate(inst: Instance) -> tuple[Instance, ReductionLog, int]:
+    """Kernel, log and d, recomputing the degeneracy before every attempt."""
+    cur, log = reduce_to_fixpoint(
+        inst,
+        lambda cur: reduce_low_degree_once(cur, heap_degeneracy_order(cur.graph).d),
+    )
+    d = heap_degeneracy_order(cur.graph).d
+    low_bound = low_degree_threshold(d, cur.k)
+    anchors = cur.anchors
+    g = cur.graph
+    low_count = sum(
+        1 for v in g.vertices if v not in anchors and g.degree(v) <= 2 * d
+    )
+    non_anchor = g.n - len(anchors & g.vertex_set)
+    if (
+        low_count > low_bound
+        or non_anchor > (2 * d + 1) * low_bound
+        or g.n > kernel_vertex_bound(d, cur.k)
+    ):
+        raise RuntimeError("kernel bound violated; this is an internal error")
+    return cur, log, d
+
+
+def _ball2_mask(nbr: list[int], i: int, blocked: int) -> int:
+    first = nbr[i] & ~blocked
+    ball = first | 1 << i
+    while first:
+        low = first & -first
+        ball |= nbr[low.bit_length() - 1]
+        first ^= low
+    return ball & ~blocked
+
+
+def search_scattered(
+    g: Graph, pool: list[int], params: QuasiWideParams, required
+) -> Optional[ScatteredCertificate]:
+    """Deletion sets by increasing size, high-degree vertices first; for each,
+    a greedy ascending-id sweep for pool vertices with disjoint radius-2 balls."""
+    verts, pos, nbr = bitset_index(g)
+    pool_idx = [pos[v] for v in pool if v in pos]
+    balls = {i: _ball2_mask(nbr, i, 0) for i in pool_idx}
+    ranked: list[int] = []
+    budget = params.search_budget
+    for size in range(params.max_deletions + 1):
+        need = required(size)
+        if size == 1:
+            ranked = sorted(verts, key=lambda v: (-g.degree(v), v))
+        for combo in itertools.combinations(ranked, size):
+            if budget <= 0:
+                return None
+            budget -= 1
+            blocked = 0
+            for v in combo:
+                blocked |= 1 << pos[v]
+            candidates = [i for i in pool_idx if not blocked >> i & 1]
+            left = len(candidates)
+            used = 0
+            chosen: list[int] = []
+            for i in candidates:
+                if len(chosen) + left < need:
+                    break
+                left -= 1
+                if nbr[i] & blocked:
+                    ball = _ball2_mask(nbr, i, blocked)
+                else:
+                    ball = balls[i] & ~blocked
+                if used & ball:
+                    continue
+                chosen.append(verts[i])
+                used |= ball
+            if len(chosen) >= need:
+                cert = ScatteredCertificate(frozenset(combo), frozenset(chosen))
+                if scattered_valid(g, cert):
+                    return cert
+    return None
+
+
+def reduce_quasiwide_once(inst: Instance, params: QuasiWideParams):
+    """Delete one petal centre found by the scattered-set search in the
+    largest oversized class, or return None."""
+    two_k = 2 * inst.k
+    g = inst.graph
+    anchors = inst.anchors
+    classes = partition_by_solution_neighborhood(g, anchors)
+    oversized = [
+        (len(vs), tuple(sorted(key)), vs)
+        for key, vs in classes.items()
+        if len(vs) > params.class_threshold
+    ]
+    if not oversized:
+        return None
+    oversized.sort(key=lambda t: (-t[0], t[1]))
+    pool = list(oversized[0][2])
+    rest = g.induced_subgraph([v for v in g.vertices if v not in anchors])
+    cert = search_scattered(rest, pool, params, lambda size: two_k << size)
+    if cert is None:
+        return None
+    cells: dict[frozenset[int], list[int]] = {}
+    for a in sorted(cert.scattered):
+        cells.setdefault(g.neighbor_set(a) & cert.deleted, []).append(a)
+    petals = min(cells.items(), key=lambda kv: (-len(kv[1]), sorted(kv[0])))[1]
+    family = SetFamily([g.closed_neighbor_set(a) for a in petals])
+    core = family.members[0] & family.members[1]
+    flower = Sunflower(core=core, petal_indices=tuple(range(len(petals))))
+    assert sunflower_valid(family, flower, petals_wanted=two_k)
+    assert core <= cert.deleted | anchors
+    step = ReductionStep(
+        "quasi-wide",
+        petals[0],
+        {
+            "core": sorted(core),
+            "petal_centers": list(petals),
+            "deletions": sorted(cert.deleted),
+        },
+    )
+    return inst.with_graph(g.delete_vertex(petals[0])), step
+
+
+def kernelize_quasiwide(
+    inst: Instance, params: QuasiWideParams
+) -> tuple[Instance, ReductionLog]:
+    return reduce_to_fixpoint(inst, lambda cur: reduce_quasiwide_once(cur, params))
+
+
 # -- shared corpora (built lazily so acceptance timing includes the work) ----
 
 _cache: dict[str, object] = {}
@@ -495,6 +672,43 @@ def sparse_corpus() -> list[Instance]:
             corpus.append(inst)
         _cache["sparse"] = corpus
     return _cache["sparse"]
+
+
+def _cycle_and_paths(paths: int, isolated: int) -> Instance:
+    """k = 1: a 5-cycle on 0-4, then three-vertex paths, then isolated vertices.
+
+    The endpoints are the last two isolated vertices.  Every non-anchor
+    vertex has degree at most 2d, so the low-degree rule deletes down to
+    its threshold; each time the d-core empties d falls, from 2 to 0.
+    """
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    for p in range(paths):
+        a = 5 + 3 * p
+        edges += [(a, a + 1), (a + 1, a + 2)]
+    n = 5 + 3 * paths + isolated
+    return Instance(Problem.ISR, Graph(range(n), edges), 1, {n - 1}, {n - 2})
+
+
+def deletion_corpus() -> list[Instance]:
+    """Instances on which the ISR rules delete most vertices.
+
+    Forests of 240-250 vertices with k = 2 pass the low-degree threshold of
+    162.  The k = 1 cycle-and-paths graphs make d fall while the rule
+    deletes, and deleting an end of a three-vertex path leaves the other
+    two closed twins.
+    """
+    if "deletion" not in _cache:
+        rng = random.Random(0x5EED6)
+        corpus = []
+        for n in (240, 245, 250):
+            g = gen_random_degenerate(n, 1, rng.randrange(2**30))
+            inst = None
+            while inst is None:
+                inst = plant_isr_instance(g, 2, rng.randrange(2**30))
+            corpus.append(inst)
+        corpus += [_cycle_and_paths(40, 80), _cycle_and_paths(20, 150)]
+        _cache["deletion"] = corpus
+    return _cache["deletion"]
 
 
 def no_instance_corpus() -> list[Instance]:
