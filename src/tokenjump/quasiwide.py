@@ -15,7 +15,11 @@ constructed and validated, so correctness never depends on the parameters.
 
 The kernel reduces one ``degenerate.Workspace`` from start to fixpoint.
 Anchors are never deleted, so the classes are computed once, and each
-radius-2 ball is computed once and kept until a deletion inside it.
+radius-2 ball is computed once and kept until a deletion inside it.  Past
+B = {}, the search compares the pool's balls pairwise once, and rules a
+deletion set out without sweeping the pool when a clique cover of the pairs
+that no B can separate, plus the pool vertices next to B, falls short of the
+number required; it finds the same B and A as sweeping every deletion set.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ class QuasiWideParams:
 
     ``class_threshold`` must be at least 2k for the instance at hand;
     ``max_deletions`` bounds |B|; ``search_budget`` caps how many candidate
-    deletion sets are tried per reduction attempt.
+    deletion sets are tried per reduction attempt, counting B = {} and every
+    set the search rules out without a sweep.
     """
 
     class_threshold: int = 32
@@ -114,6 +119,41 @@ def _balls_disjoint(nbr: list[int], chosen: list[int], blocked: int) -> bool:
     return True
 
 
+def _conflicts(
+    pool: list[int], pool_mask: int, balls: dict[int, int], top: int
+) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]], int]:
+    """Pairwise ball meets of the pool, split at ``top`` shared vertices.
+
+    Returns each vertex's mask of robust conflicts (meets larger than
+    ``top``, both directions), its later fragile partners with their meets,
+    and the size of a greedy clique cover of the robust conflicts.
+    """
+    robust = dict.fromkeys(pool, 0)
+    fragile: dict[int, list[tuple[int, int]]] = {i: [] for i in pool}
+    for a, i in enumerate(pool):
+        ball = balls[i]
+        for j in pool[a + 1 :]:
+            meet = ball & balls[j]
+            if meet.bit_count() > top:
+                robust[i] |= 1 << j
+                robust[j] |= 1 << i
+            elif meet:
+                fragile[i].append((j, meet))
+    cover = 0
+    uncovered = pool_mask
+    while uncovered:
+        low = uncovered & -uncovered
+        clique = low
+        common = robust[low.bit_length() - 1] & uncovered
+        while common:
+            low = common & -common
+            clique |= low
+            common &= robust[low.bit_length() - 1]
+        uncovered &= ~clique
+        cover += 1
+    return robust, fragile, cover
+
+
 def _scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
     """Whether the certificate's balls in g minus its deletion set are disjoint."""
     _verts, pos, nbr = bitset_index(g)
@@ -154,53 +194,103 @@ class _ScatteredWorkspace(Workspace):
             self._balls.pop(j, None)
         return nb
 
+    def _ball(self, i: int) -> int:
+        """Cached radius-2 ball of position i in the rest."""
+        ball = self._balls.get(i)
+        if ball is None:
+            ball = self._balls[i] = _ball2_mask(self.nbr, i, self.anchor_mask)
+        return ball
+
     def search(
         self, pool: list[int], params: QuasiWideParams, required: Callable[[int], int]
     ) -> Optional[tuple[int, list[int]]]:
         """Enumerate deletion sets by increasing size, high-degree vertices first.
 
-        For each candidate B, a greedy ascending-id sweep picks vertices of the
-        pool whose radius-2 balls in the rest minus B are pairwise disjoint;
-        the candidate succeeds when at least ``required(|B|)`` are found, and a
-        sweep stops once that is out of reach.  Only a vertex with a neighbor
-        in B needs its ball recomputed; the others use the cached ball.  The
-        balls of a success are recomputed from the adjacency masks before B's
-        mask and the chosen positions are returned.
+        For each candidate B, a greedy sweep over the pool (ascending
+        positions) picks vertices whose radius-2 balls in the rest minus B are
+        pairwise disjoint; the candidate succeeds when at least
+        ``required(|B|)`` are found, and a sweep stops once that is out of
+        reach.  Every B tried costs one unit of ``search_budget``, and sizes
+        stop at the number of rest vertices.  The balls of a success are
+        recomputed from the adjacency masks before B's mask and the chosen
+        positions are returned.
+
+        A pool vertex with no neighbor in B ("tame") has its cached ball minus
+        B; only the "wild" ones, with a neighbor in B, need their ball
+        recomputed, cached by their neighbors in B.  For |B| >= 1 the pool's
+        pairwise ball meets are computed once.  Two tame vertices whose balls
+        share more than ``max_deletions`` vertices always conflict, so at most
+        one tame vertex of each clique of a clique cover of these robust
+        conflicts can be picked: B is skipped, unswept, when the cover plus the
+        wild vertices falls short.  Choosing a tame vertex strikes the later
+        tame ones its ball meets outside B, which the sweep would reject.
+        Neither changes what the sweep picks for any B.
         """
-        nbr, anchors, balls = self.nbr, self.anchor_mask, self._balls
+        need = required(0)
+        used = 0
+        chosen: list[int] = []
+        left = len(pool)
+        for i in pool:
+            if len(chosen) + left < need:
+                break
+            left -= 1
+            ball = self._ball(i)
+            if used & ball:
+                continue
+            chosen.append(i)
+            used |= ball
+        nbr, anchors = self.nbr, self.anchor_mask
+        if len(chosen) >= need and _balls_disjoint(nbr, chosen, anchors):
+            return 0, chosen
         rest = self.alive & ~anchors
-        ranked: list[int] = []
-        budget = params.search_budget
-        for size in range(params.max_deletions + 1):
+        top = min(params.max_deletions, rest.bit_count())
+        if top == 0:
+            return None
+        balls = {i: self._ball(i) for i in pool}
+        pool_mask = 0
+        for i in pool:
+            pool_mask |= 1 << i
+        robust, fragile, cover = _conflicts(pool, pool_mask, balls, top)
+        ranked = sorted(set_bits(rest), key=lambda i: (-(nbr[i] & rest).bit_count(), i))
+        wild_balls: dict[tuple[int, int], int] = {}
+        budget = params.search_budget - 1
+        for size in range(1, top + 1):
             need = required(size)
-            if size == 1:
-                ranked = sorted(
-                    set_bits(rest), key=lambda i: (-(nbr[i] & rest).bit_count(), i)
-                )
             for combo in itertools.combinations(ranked, size):
                 if budget <= 0:
                     return None
                 budget -= 1
-                blocked = 0
+                blocked = near = 0
                 for i in combo:
                     blocked |= 1 << i
-                candidates = [i for i in pool if not blocked >> i & 1]
-                left = len(candidates)
+                    near |= nbr[i]
+                candidates = pool_mask & ~blocked
+                wild = candidates & near
+                if cover + wild.bit_count() < need:
+                    continue
                 used = 0
-                chosen: list[int] = []
-                for i in candidates:
-                    if len(chosen) + left < need:
-                        break
-                    left -= 1
-                    if nbr[i] & blocked:
-                        ball = _ball2_mask(nbr, i, blocked | anchors)
-                    else:
-                        ball = balls.get(i)
+                chosen = []
+                while candidates and len(chosen) + candidates.bit_count() >= need:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    i = low.bit_length() - 1
+                    if wild & low:
+                        cut = nbr[i] & blocked
+                        ball = wild_balls.get((i, cut))
                         if ball is None:
-                            ball = balls[i] = _ball2_mask(nbr, i, anchors)
+                            ball = wild_balls[i, cut] = _ball2_mask(nbr, i, anchors | cut)
                         ball &= ~blocked
-                    if used & ball:
-                        continue
+                        if used & ball:
+                            continue
+                    else:
+                        ball = balls[i] & ~blocked
+                        if used & ball:
+                            continue
+                        strike = robust[i]
+                        for j, meet in fragile[i]:
+                            if meet & ~blocked:
+                                strike |= 1 << j
+                        candidates &= ~strike | wild
                     chosen.append(i)
                     used |= ball
                 if len(chosen) >= need and _balls_disjoint(nbr, chosen, blocked | anchors):

@@ -120,6 +120,23 @@ def test_kernels_rebuild_nothing_per_deletion(monkeypatch):
         assert max(calls.values()) <= 2, dict(calls)
 
 
+def test_hopeless_scattered_search_computes_few_balls(monkeypatch):
+    """A search that fails at every level rules most deletion sets out unswept."""
+    inst = plant_isr_instance(gen_random_degenerate(60, 3, 1), 2, 1)
+    calls = 0
+    ball2_mask = quasiwide._ball2_mask
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ball2_mask(*args)
+
+    monkeypatch.setattr(quasiwide, "_ball2_mask", counted)
+    kernel, log = kernelize_quasiwide(inst, QuasiWideParams())
+    assert len(log) == 0 and kernel is inst
+    assert 0 < calls <= 1000
+
+
 def test_unreduced_instance_is_returned_as_is():
     inst = reference.isr_corpus()[0][0]
     kern = kernelize_degenerate(inst)

@@ -1,4 +1,6 @@
 import itertools
+import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from tokenjump import (
     verify_sequence,
 )
 from tokenjump import cli, quasiwide
-from tokenjump.quasiwide import _scattered_valid
+from tokenjump.quasiwide import _ScatteredWorkspace, _scattered_valid
 
 import reference
 
@@ -254,6 +256,79 @@ def test_found_certificates_pass_pairwise_reference():
                 found += 1
                 assert reference.scattered_valid(rest, cert)
     assert found > 0
+
+
+def hub_graph(rng):
+    """Hubs 0..h-1 (h = 1-3), every other vertex joined to 1-h of them, then
+    random chords; n = 6-40.  A vertex on j hubs is cut loose by deleting j."""
+    n = rng.randint(6, 40)
+    hubs = rng.randint(1, 3)
+    edges = {
+        (h, v) for v in range(hubs, n) for h in rng.sample(range(hubs), rng.randint(1, hubs))
+    }
+    for _ in range(rng.randint(0, n // 3)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(range(n), edges)
+
+
+def tried_before(g, deleted):
+    """Deletion sets the search tries before ``deleted``: all smaller ones,
+    and the earlier ones of its size."""
+    ranked = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    size = len(deleted)
+    for rank, combo in enumerate(itertools.combinations(ranked, size)):
+        if frozenset(combo) == deleted:
+            return sum(comb(g.n, s) for s in range(size)), rank
+    raise AssertionError("deletion set not in the enumeration")
+
+
+def test_scattered_search_matches_reference_on_hub_graphs():
+    """Same certificate as the sweep over every deletion set, budget cuts included."""
+    rng = random.Random(0x5CA77)
+    levels = [0] * 4
+    partway = 0
+    for _ in range(1500):
+        g = hub_graph(rng)
+        pool = rng.sample(range(g.n), rng.randint(1, g.n))
+        target = rng.randint(1, 8)
+        params = QuasiWideParams(
+            max_deletions=rng.randint(0, 3), search_budget=int(4000 ** rng.random() ** 0.5)
+        )
+        ours = find_scattered_with_deletions(g, frozenset(pool), target, params)
+        assert ours == reference.search_scattered(g, sorted(pool), params, lambda _s: target)
+        if ours is None or not ours.deleted:
+            levels[0] += ours is not None
+            continue
+        levels[len(ours.deleted)] += 1
+        smaller, rank = tried_before(g, ours.deleted)
+        partway += rank > 0
+        budget = smaller + rank  # stops just short of the certificate's B
+        starved = QuasiWideParams(max_deletions=params.max_deletions, search_budget=budget)
+        assert find_scattered_with_deletions(g, frozenset(pool), target, starved) is None
+        assert reference.search_scattered(g, sorted(pool), starved, lambda _s: target) is None
+    assert min(levels) > 0 and partway > 0, (levels, partway)
+
+
+def test_scattered_balls_meeting_in_max_deletions_vertices_are_separable():
+    # a - x1, x2 - m - y1, y2 - b: the balls of a and b meet in m alone
+    g = Graph(range(7), [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)])
+    params = QuasiWideParams(max_deletions=1)
+    cert = find_scattered_with_deletions(g, frozenset({0, 6}), 2, params)
+    assert cert == ScatteredCertificate(frozenset({3}), frozenset({0, 6}))
+    assert cert == reference.search_scattered(g, [0, 6], params, lambda _s: 2)
+
+
+def test_scattered_search_stops_at_the_last_nonempty_level():
+    g = Graph(range(6), itertools.combinations(range(6), 2))
+    sizes = []
+
+    def required(size):
+        sizes.append(size)
+        return 2
+
+    params = QuasiWideParams(max_deletions=10**6)
+    assert _ScatteredWorkspace(g).search(list(range(6)), params, required) is None
+    assert sizes == list(range(7))
 
 
 def test_kernel_logs_match_stored_run():
