@@ -15,8 +15,9 @@ constructed and validated, so correctness never depends on the parameters.
 
 The kernel reduces one ``degenerate.Workspace`` from start to fixpoint.
 Anchors are never deleted, so the classes are computed once, and each
-radius-2 ball is computed once and kept until a deletion inside it.  Past
-B = {}, the search compares the pool's balls pairwise once, and rules a
+radius-2 ball is computed once and kept until a deletion inside it.  Once
+the failed sweeps past B = {} have cost about as much as comparing the
+pool's balls pairwise, the search compares them, and from then on rules a
 deletion set out without sweeping the pool when a clique cover of the pairs
 that no B can separate, plus the pool vertices next to B, falls short of the
 number required; it finds the same B and A as sweeping every deletion set.
@@ -217,15 +218,19 @@ class _ScatteredWorkspace(Workspace):
 
         A pool vertex with no neighbor in B ("tame") has its cached ball minus
         B; only the "wild" ones, with a neighbor in B, need their ball
-        recomputed, cached by their neighbors in B.  For |B| >= 1 the pool's
-        pairwise ball meets are computed once.  Two tame vertices whose balls
-        share more than ``max_deletions`` vertices always conflict, so at most
-        one tame vertex of each clique of a clique cover of these robust
-        conflicts can be picked: B is skipped, unswept, when the cover plus the
-        wild vertices falls short.  Choosing a tame vertex strikes the later
-        tame ones its ball meets outside B, which the sweep would reject.
-        Neither changes what the sweep picks for any B.
+        recomputed, cached by their neighbors in B.  When as many sweeps past
+        B = {} have failed as half the pool, about the cost of comparing the
+        pool's balls pairwise, the pairwise meets are computed, once per call;
+        a search that succeeds sooner never pays for them.  Two tame vertices
+        whose balls share more than ``max_deletions`` vertices always
+        conflict, so at most one tame vertex of each clique of a clique cover
+        of these robust conflicts can be picked: from then on, B is skipped,
+        unswept, when the cover plus the wild vertices falls short.  Choosing
+        a tame vertex strikes the later tame ones its ball meets outside B,
+        which the sweep would reject.  Neither changes what the sweep picks
+        for any B.
         """
+        nbr, anchors, balls = self.nbr, self.anchor_mask, self._balls
         need = required(0)
         used = 0
         chosen: list[int] = []
@@ -234,25 +239,29 @@ class _ScatteredWorkspace(Workspace):
             if len(chosen) + left < need:
                 break
             left -= 1
-            ball = self._ball(i)
+            ball = balls.get(i)
+            if ball is None:
+                ball = balls[i] = _ball2_mask(nbr, i, anchors)
             if used & ball:
                 continue
             chosen.append(i)
             used |= ball
-        nbr, anchors = self.nbr, self.anchor_mask
         if len(chosen) >= need and _balls_disjoint(nbr, chosen, anchors):
             return 0, chosen
         rest = self.alive & ~anchors
         top = min(params.max_deletions, rest.bit_count())
         if top == 0:
             return None
-        balls = {i: self._ball(i) for i in pool}
         pool_mask = 0
         for i in pool:
             pool_mask |= 1 << i
-        robust, fragile, cover = _conflicts(pool, pool_mask, balls, top)
         ranked = sorted(set_bits(rest), key=lambda i: (-(nbr[i] & rest).bit_count(), i))
         wild_balls: dict[tuple[int, int], int] = {}
+        # until the pool is compared: no strikes, and a cover of singletons
+        robust: dict[int, int] = {}
+        fragile: dict[int, list[tuple[int, int]]] = {}
+        cover = len(pool)
+        misses = 0
         budget = params.search_budget - 1
         for size in range(1, top + 1):
             need = required(size)
@@ -270,12 +279,15 @@ class _ScatteredWorkspace(Workspace):
                     continue
                 used = 0
                 chosen = []
-                while candidates and len(chosen) + candidates.bit_count() >= need:
-                    low = candidates & -candidates
-                    candidates ^= low
-                    i = low.bit_length() - 1
-                    if wild & low:
-                        cut = nbr[i] & blocked
+                left = candidates.bit_count()
+                for i in pool:
+                    if len(chosen) + left < need:
+                        break
+                    if not candidates >> i & 1:
+                        continue
+                    left -= 1
+                    cut = nbr[i] & blocked
+                    if cut:
                         ball = wild_balls.get((i, cut))
                         if ball is None:
                             ball = wild_balls[i, cut] = _ball2_mask(nbr, i, anchors | cut)
@@ -283,18 +295,24 @@ class _ScatteredWorkspace(Workspace):
                         if used & ball:
                             continue
                     else:
-                        ball = balls[i] & ~blocked
+                        ball = (balls.get(i) or self._ball(i)) & ~blocked
                         if used & ball:
                             continue
-                        strike = robust[i]
-                        for j, meet in fragile[i]:
+                        strike = robust.get(i, 0)
+                        for j, meet in fragile.get(i, ()):
                             if meet & ~blocked:
                                 strike |= 1 << j
-                        candidates &= ~strike | wild
+                        if strike & candidates & ~wild:
+                            candidates &= ~strike | wild
+                            left = (candidates >> i + 1).bit_count()
                     chosen.append(i)
                     used |= ball
                 if len(chosen) >= need and _balls_disjoint(nbr, chosen, blocked | anchors):
                     return blocked, chosen
+                misses += 1
+                if misses == (len(pool) + 1) // 2:
+                    pool_balls = {i: self._ball(i) for i in pool}
+                    robust, fragile, cover = _conflicts(pool, pool_mask, pool_balls, top)
         return None
 
     def scattered_once(self, k: int, params: QuasiWideParams) -> Optional[ReductionStep]:

@@ -137,6 +137,34 @@ def test_hopeless_scattered_search_computes_few_balls(monkeypatch):
     assert 0 < calls <= 1000
 
 
+def test_scattered_search_that_succeeds_soon_compares_no_pairs(monkeypatch):
+    """A hub whose deletion scatters its leaves, ranked behind a decoy.
+
+    Each round fails at B = {} and at B = {decoy}, then succeeds at
+    B = {hub}: no round pays for comparing the pool's balls pairwise, and
+    the balls computed per deletion stay linear in the pool.
+    """
+    n = 150
+    edges = [(0, v) for v in range(1, n + 1)]
+    for y in range(n + 2, 2 * n + 2):
+        edges += [(n + 1, y), (1 + y % 2, y)]
+    inst = Instance(Problem.ISR, Graph(range(2 * n + 2), edges), 2, {1, 2}, {3, 4})
+    calls: Counter[str] = Counter()
+    for name in ("_ball2_mask", "_conflicts"):
+        fn = getattr(quasiwide, name)
+
+        def counted(*args, name=name, fn=fn):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(quasiwide, name, counted)
+    kernel, log = kernelize_quasiwide(inst, QuasiWideParams())
+    rounds = sum(step.rule == "quasi-wide" for step in log.steps)
+    assert rounds >= n
+    assert calls["_conflicts"] == 0
+    assert calls["_ball2_mask"] <= 2 * n * rounds
+
+
 def test_unreduced_instance_is_returned_as_is():
     inst = reference.isr_corpus()[0][0]
     kern = kernelize_degenerate(inst)

@@ -16,6 +16,7 @@ from tokenjump import (
     Verdict,
     bfs_reconfig,
     find_scattered_with_deletions,
+    gen_random_degenerate,
     is_valid_sunflower,
     kernelize_quasiwide,
     parse_instance,
@@ -307,6 +308,33 @@ def test_scattered_search_matches_reference_on_hub_graphs():
         assert find_scattered_with_deletions(g, frozenset(pool), target, starved) is None
         assert reference.search_scattered(g, sorted(pool), starved, lambda _s: target) is None
     assert min(levels) > 0 and partway > 0, (levels, partway)
+
+
+def test_scattered_search_matches_reference_once_the_pool_is_compared(monkeypatch):
+    """Same certificate where sweeps fail long enough for the pool's balls to be
+    compared pairwise, so that later deletion sets are skipped and struck."""
+    compared = []
+    conflicts = quasiwide._conflicts
+
+    def counted(pool, *args):
+        compared.append(len(pool))
+        return conflicts(pool, *args)
+
+    monkeypatch.setattr(quasiwide, "_conflicts", counted)
+    rng = random.Random(0xDE6)
+    found_after = 0
+    for _ in range(1500):
+        g = gen_random_degenerate(rng.randint(6, 50), rng.choice((1, 2, 3)), rng.randrange(2**30))
+        pool = rng.sample(range(g.n), rng.randint(1, g.n))
+        target = rng.randint(1, 8)
+        params = QuasiWideParams(
+            max_deletions=rng.randint(0, 3), search_budget=int(4000 ** rng.random() ** 0.5)
+        )
+        compared.clear()
+        ours = find_scattered_with_deletions(g, frozenset(pool), target, params)
+        assert ours == reference.search_scattered(g, sorted(pool), params, lambda _s: target)
+        found_after += bool(compared) and ours is not None
+    assert found_after > 0
 
 
 def test_scattered_balls_meeting_in_max_deletions_vertices_are_separable():
