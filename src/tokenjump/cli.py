@@ -26,6 +26,8 @@ from .instances import (
     ReductionLog,
     ReportFormatError,
     gen_random_degenerate,
+    kernel_to_json,
+    layout_json,
     parse_instance,
     parse_report,
     plant_dsr_instance,
@@ -215,14 +217,10 @@ def _cmd_kernelize(args) -> int:
         kernel, log, _core = kernelize_dsr(inst)
     payload = {
         "instance": serialize_instance(kernel),
-        "kernel": {
-            "n": kernel.graph.n,
-            "m": kernel.graph.m,
-            "deleted": [v + 1 for v in log.deleted_vertices()],
-        },
+        "kernel": kernel_to_json(kernel.graph, log),
         "rules": rules_to_json(log),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(layout_json(payload), args.out)
     return EX_OK
 
 
@@ -282,7 +280,7 @@ def _cmd_convert(args) -> int:
         "instance": serialize_instance(gadget),
         "gadget_map": gm.to_json_dict(),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(layout_json(payload), args.out)
     return EX_OK
 
 
@@ -306,7 +304,7 @@ def _cmd_stats(args) -> int:
         "contains_biclique": bicliques,
         "class_sizes": sorted((len(vs) for vs in classes.values()), reverse=True),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(layout_json(payload), args.out)
     return EX_OK
 
 

@@ -10,7 +10,8 @@ File format (line-oriented, ``#`` or ``c`` prefixes comments)::
 Vertices are 1-indexed in files and mapped to 0-indexed ids internally.
 Reports are JSON objects with fields ``answer``, ``sequence`` (present iff
 yes), ``kernel`` {n, m, deleted}, ``rules`` and ``stats``; all vertex ids in
-reports use the 1-indexed file coordinates.
+reports use the 1-indexed file coordinates.  ``layout_json`` writes them, and
+the CLI's other payloads, one top-level field and one rule per line.
 """
 
 from __future__ import annotations
@@ -271,25 +272,51 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def rules_to_json(log: ReductionLog) -> list[dict]:
-    """Render a reduction log in 1-indexed file coordinates."""
+    """Render a reduction log in 1-indexed file coordinates.
+
+    Every certificate value is a vertex or a list of vertices (see
+    ``ReductionStep``), shifted by its shape.
+    """
     return [
         {
             "rule": step.rule,
             "vertex": step.vertex + 1,
-            "certificate": _shift_coords(step.certificate),
+            "certificate": {
+                key: value + 1 if isinstance(value, int) else [v + 1 for v in value]
+                for key, value in step.certificate.items()
+            },
         }
         for step in log
     ]
 
 
-def _shift_coords(value):
-    if isinstance(value, dict):
-        return {k: _shift_coords(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_shift_coords(v) for v in value]
-    if isinstance(value, int):
-        return value + 1
-    return value
+def kernel_to_json(kernel: Graph, log: ReductionLog) -> dict:
+    """The ``kernel`` field of reports: size of the reduced graph, deletions."""
+    return {
+        "n": kernel.n,
+        "m": kernel.m,
+        "deleted": [v + 1 for v in log.deleted_vertices()],
+    }
+
+
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def layout_json(payload: dict) -> str:
+    """A JSON object with one top-level key per line and one ``rules`` entry per line.
+
+    Each value is written compactly by the C encoder, so the text costs about
+    what its ids cost, and a rule can be read (or diffed) as one line.
+    """
+    lines = []
+    for key, value in payload.items():
+        if key == "rules" and value:
+            entries = ",\n".join("    " + _compact(rule) for rule in value)
+            text = "[\n" + entries + "\n  ]"
+        else:
+            text = _compact(value)
+        lines.append(f"  {_compact(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def serialize_report(outcome, log: ReductionLog, kernel: Graph, *, ms: int = 0) -> str:
@@ -312,14 +339,10 @@ def serialize_report(outcome, log: ReductionLog, kernel: Graph, *, ms: int = 0) 
         report["sequence"] = [
             sorted(v + 1 for v in s) for s in outcome.sequence.sets
         ]
-    report["kernel"] = {
-        "n": kernel.n,
-        "m": kernel.m,
-        "deleted": [v + 1 for v in log.deleted_vertices()],
-    }
+    report["kernel"] = kernel_to_json(kernel, log)
     report["rules"] = rules_to_json(log)
     report["stats"] = {"states_explored": outcome.states_explored, "ms": int(ms)}
-    return json.dumps(report, indent=2) + "\n"
+    return layout_json(report)
 
 
 def parse_report(data: str | bytes) -> dict:

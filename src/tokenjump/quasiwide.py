@@ -15,7 +15,9 @@ constructed and validated, so correctness never depends on the parameters.
 
 The kernel reduces one ``degenerate.Workspace`` from start to fixpoint.
 Anchors are never deleted, so the classes are computed once, and each
-radius-2 ball is computed once and kept until a deletion inside it.  Once
+radius-2 ball is computed once and kept until a deletion next to its centre
+(a deletion two steps away only clears its bit).  The certifying sunflower
+is checked on the closed-neighborhood masks themselves.  Once
 the failed sweeps past B = {} have cost about as much as comparing the
 pool's balls pairwise, the search compares them, and from then on rules a
 deletion set out without sweeping the pool when a clique cover of the pairs
@@ -39,7 +41,6 @@ from .instances import (
     ReductionLog,
     ReductionStep,
 )
-from .sunflower import SetFamily, Sunflower, is_valid_sunflower
 
 __all__ = [
     "QuasiWideParams",
@@ -155,6 +156,29 @@ def _conflicts(
     return robust, fragile, cover
 
 
+def _sunflower_core(nbr: list[int], petals: list[int], allowed: int, wanted: int) -> int:
+    """The core mask of the petals' closed neighborhoods, checked as a sunflower.
+
+    There must be at least ``wanted`` petals; the core, the first two closed
+    neighborhoods' meet, must lie in every one and inside ``allowed``; and
+    the parts outside the core must be nonempty and pairwise disjoint.
+    Anything else is an internal error.
+    """
+    closed = [nbr[a] | 1 << a for a in petals]
+    if len(closed) >= wanted:
+        core = closed[0] & closed[1]
+        used = 0
+        for mask in closed:
+            own = mask & ~core
+            if core & ~mask or not own or used & own:
+                break
+            used |= own
+        else:
+            if not core & ~allowed:
+                return core
+    raise RuntimeError("scattered-set sunflower failed validation")
+
+
 def _scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
     """Whether the certificate's balls in g minus its deletion set are disjoint."""
     _verts, pos, nbr = bitset_index(g)
@@ -171,7 +195,8 @@ class _ScatteredWorkspace(Workspace):
     Anchors are never deleted, so no vertex changes its anchor class: the
     classes are computed once and keep their live members in ascending
     order.  Each pool vertex's radius-2 ball in the rest is cached across
-    deletions; a deletion drops the balls it lay in.
+    deletions.  A deletion drops its own ball and those of its neighbors in
+    the rest; a ball centred two steps away only loses the deleted bit.
     """
 
     def __init__(self, graph: Graph, anchors: frozenset[int] = frozenset()) -> None:
@@ -187,12 +212,17 @@ class _ScatteredWorkspace(Workspace):
     def delete(self, i: int, step: ReductionStep) -> int:
         nb = super().delete(i, step)
         self._class_of.pop(i).remove(i)
+        balls, bit = self._balls, 1 << i
         first = nb & ~self.anchor_mask
-        near = first | 1 << i
+        second = 0
+        balls.pop(i, None)
         for w in set_bits(first):
-            near |= self.nbr[w]
-        for j in set_bits(near & ~self.anchor_mask):
-            self._balls.pop(j, None)
+            balls.pop(w, None)
+            second |= self.nbr[w]
+        for j in set_bits(second & ~(first | self.anchor_mask)):
+            ball = balls.get(j)
+            if ball is not None:
+                balls[j] = ball & ~bit
         return nb
 
     def _ball(self, i: int) -> int:
@@ -333,24 +363,15 @@ class _ScatteredWorkspace(Workspace):
         for a in chosen:
             cells.setdefault(self.nbr[a] & blocked, []).append(a)
         petals = min(cells.items(), key=lambda kv: (-len(kv[1]), list(set_bits(kv[0]))))[1]
-        family = SetFamily([self.closed_set(a) for a in petals])
-        core = family.members[0] & family.members[1]
-        flower = Sunflower(core=core, petal_indices=tuple(range(len(petals))))
+        core = _sunflower_core(self.nbr, petals, blocked | self.anchor_mask, two_k)
         verts = self.verts
-        deleted = frozenset(verts[i] for i in set_bits(blocked))
-        if not (
-            is_valid_sunflower(family, flower, petals_wanted=two_k)
-            and core <= deleted | self.anchors
-        ):
-            raise RuntimeError("scattered-set sunflower failed validation")
-        centers = [verts[a] for a in petals]
         step = ReductionStep(
             RULE_QUASIWIDE,
-            centers[0],
+            verts[petals[0]],
             {
-                "core": sorted(core),
-                "petal_centers": centers,
-                "deletions": sorted(deleted),
+                "core": [verts[i] for i in set_bits(core)],
+                "petal_centers": [verts[a] for a in petals],
+                "deletions": [verts[i] for i in set_bits(blocked)],
             },
         )
         self.delete(petals[0], step)

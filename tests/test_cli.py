@@ -7,8 +7,17 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tokenjump import parse_instance, parse_report
+from tokenjump import (
+    gen_random_degenerate,
+    kernelize_degenerate,
+    parse_instance,
+    parse_report,
+    plant_isr_instance,
+    serialize_instance,
+    solve_isr_degenerate,
+)
 from tokenjump import cli
+from tokenjump.instances import kernel_to_json, rules_to_json
 from tokenjump.cli import main
 
 P4_TEXT = "p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n"
@@ -133,6 +142,52 @@ def test_kernelize_outputs_kernel_and_rules(capsys, tmp_path):
     assert payload["kernel"]["n"] == kernel.graph.n
     assert len(payload["rules"]) == len(payload["kernel"]["deleted"]) > 0
     assert all(rule["rule"] == "sunflower-degenerate" for rule in payload["rules"])
+
+
+def assert_one_rule_per_line(text, written):
+    """``text`` parses to ``written``: one line per top-level key and per rule."""
+    assert json.loads(text) == written
+    lines = text.splitlines()
+    rules = written["rules"]
+    assert len(lines) == len(written) + 2 + (len(rules) + 1 if rules else 0)
+    start = lines.index('  "rules": [') + 1
+    for line, rule in zip(lines[start:], rules):
+        assert json.loads(line.rstrip(",")) == rule
+
+
+def test_solve_and_kernelize_write_one_rule_per_line(capsys, tmp_path):
+    inst = plant_isr_instance(gen_random_degenerate(250, 1, 1), 2, 1)
+    path = tmp_path / "forest.isr"
+    path.write_text(serialize_instance(inst))
+
+    result = solve_isr_degenerate(inst)
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0 and len(result.log) > 30
+    assert_one_rule_per_line(
+        out,
+        {
+            "answer": "yes",
+            "sequence": [sorted(v + 1 for v in s) for s in result.outcome.sequence.sets],
+            "kernel": kernel_to_json(result.kernel.graph, result.log),
+            "rules": rules_to_json(result.log),
+            "stats": {
+                "states_explored": result.outcome.states_explored,
+                "ms": json.loads(out)["stats"]["ms"],
+            },
+        },
+    )
+
+    kern = kernelize_degenerate(inst)
+    code, out, _ = run(capsys, "kernelize", str(path))
+    assert code == 0
+    assert_one_rule_per_line(
+        out,
+        {
+            "instance": serialize_instance(kern.kernel),
+            "kernel": kernel_to_json(kern.kernel.graph, kern.log),
+            "rules": rules_to_json(kern.log),
+        },
+    )
 
 
 def test_kernelize_dsr(capsys, tmp_path):

@@ -9,6 +9,7 @@ from tokenjump import (
     Instance,
     InstanceFormatError,
     Problem,
+    QuasiWideParams,
     ReductionLog,
     ReductionStep,
     ReportFormatError,
@@ -16,6 +17,9 @@ from tokenjump import (
     bfs_reconfig,
     gen_random_degenerate,
     is_feasible,
+    kernelize_degenerate,
+    kernelize_dsr,
+    kernelize_quasiwide,
     parse_instance,
     parse_report,
     plant_dsr_instance,
@@ -24,6 +28,7 @@ from tokenjump import (
     serialize_instance,
     serialize_report,
 )
+from tokenjump.instances import KNOWN_RULES, rules_to_json
 
 import reference
 
@@ -172,6 +177,24 @@ def test_reduction_log_replay():
     log.append(ReductionStep("twin", 0, {"survivor": 1}))
     assert replay_reductions(g, log) == g.delete_vertex(3).delete_vertex(0)
     assert log.deleted_vertices() == [3, 0]
+
+
+def test_rules_to_json_shifts_every_certificate_to_file_coordinates():
+    forest = plant_isr_instance(gen_random_degenerate(250, 1, 1), 2, 1)
+    star = Graph(range(41), [(0, v) for v in range(1, 41)])
+    hub = Instance(Problem.ISR, star, 2, {1, 2}, {3, 4})
+    steps = kernelize_degenerate(forest).log.steps
+    steps += kernelize_quasiwide(hub, QuasiWideParams())[1].steps  # each round deletes B = {0}
+    steps += [s for inst in reference.dsr_corpus()[:40] for s in kernelize_dsr(inst)[1].steps]
+    assert {step.rule for step in steps} == set(KNOWN_RULES)
+    assert any(step.rule == "quasi-wide" and step.certificate["deletions"] for step in steps)
+    log = ReductionLog(steps)
+    for step, rendered in zip(steps, rules_to_json(log), strict=True):
+        assert rendered["rule"] == step.rule and rendered["vertex"] == step.vertex + 1
+        assert rendered["certificate"].keys() == step.certificate.keys()
+        for key, value in step.certificate.items():
+            shifted = value + 1 if isinstance(value, int) else [v + 1 for v in value]
+            assert rendered["certificate"][key] == shifted
 
 
 def test_serialize_report_yes_round_trips():

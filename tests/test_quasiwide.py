@@ -133,7 +133,12 @@ def test_reduce_fires_on_isolated_class():
 
 
 def test_failed_sunflower_validation_is_an_internal_error(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(quasiwide, "is_valid_sunflower", lambda *args, **kwargs: False)
+    sunflower_core = quasiwide._sunflower_core
+    monkeypatch.setattr(  # the check sees one petal of the found sunflower
+        quasiwide,
+        "_sunflower_core",
+        lambda nbr, petals, *rest: sunflower_core(nbr, petals[:1], *rest),
+    )
     inst = Instance(Problem.ISR, Graph(range(50)), 2, frozenset({0, 1}), frozenset({2, 3}))
     params = QuasiWideParams(class_threshold=20, max_deletions=0)
     with pytest.raises(RuntimeError, match="failed validation"):
@@ -148,6 +153,71 @@ def test_failed_sunflower_validation_is_an_internal_error(monkeypatch, tmp_path,
         "tokenjump: internal error: RuntimeError: "
         "scattered-set sunflower failed validation\n"
     )
+
+
+def masks(n, edges):
+    nbr = [0] * n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
+# four leaves 1-4 of hub 0, and leaf 1's own pendant 5
+SPIDER = masks(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
+# the hub's leaves 3 and 4 share a second neighbor 5
+SHARED = masks(6, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 5)])
+# hub 0 with leaves 1, 2 and 4, and the edge 3-5 apart from it
+ASTRAY = masks(6, [(0, 1), (0, 2), (0, 4), (3, 5)])
+# a K4 on 0-3 whose vertices 0, 1 and 3 have pendants 4, 5 and 6:
+# N[2] = N[0] & N[1] = {0, 1, 2, 3}
+K4 = masks(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 5), (3, 6)])
+
+
+def test_sunflower_core_on_masks():
+    # N[1] = {0, 1, 5}, N[2] = {0, 2}, ...: core {0}, petals {1, 5}, {2}, {3}, {4}
+    assert quasiwide._sunflower_core(SPIDER, [1, 2, 3, 4], 1 << 0, 4) == 1 << 0
+    assert quasiwide._sunflower_core(SPIDER, [2, 3], 1 << 0, 2) == 1 << 0
+
+
+@pytest.mark.parametrize(
+    "nbr, petals, allowed",
+    [
+        (SPIDER, [1, 2, 3], 1 << 0),  # fewer than 2k = 4 petals
+        (SHARED, [1, 2, 3, 4], 1 << 0),  # petals 3 and 4 meet outside the core {0}
+        (K4, [0, 1, 2, 3], 0b1111),  # petal 2 is exactly the core
+        (ASTRAY, [1, 2, 3, 4], 1 << 0),  # petal 3 misses the core {0}
+        (SPIDER, [1, 2, 3, 4], 0),  # core vertex 0 outside deleted and anchors
+    ],
+)
+def test_sunflower_core_rejects_what_is_no_certificate(nbr, petals, allowed):
+    with pytest.raises(RuntimeError, match="^scattered-set sunflower failed validation$"):
+        quasiwide._sunflower_core(nbr, petals, allowed, 4)
+
+
+def test_distance_two_balls_survive_a_deletion(monkeypatch):
+    """K_{1,400} with two source and two target leaves.
+
+    Each round computes two balls per petal: the leaf's ball once the hub is
+    deleted, and the re-check of the success.  Deleting a leaf leaves the
+    other leaves' cached balls standing, less its bit.
+    """
+    n = 400
+    inst = Instance(Problem.ISR, star(n), 2, {1, 2}, {3, 4})
+    calls = 0
+    ball2_mask = quasiwide._ball2_mask
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ball2_mask(*args)
+
+    monkeypatch.setattr(quasiwide, "_ball2_mask", counted)
+    kernel, log = kernelize_quasiwide(inst, QuasiWideParams())
+    petals = sum(len(step.certificate["petal_centers"]) for step in log.steps)
+    assert calls <= 2 * petals + 2 * n
+    assert len(log) == 364 and all(step.certificate["deletions"] == [0] for step in log.steps)
+    assert (kernel, log) == reference.kernelize_quasiwide(inst, QuasiWideParams())
 
 
 def test_reduce_absent_when_classes_are_small():
