@@ -5,8 +5,11 @@ k+1, dominating C is equivalent to dominating the whole graph.  Sets in a
 reconfiguration sequence never exceed k+1 vertices, so the size-bounded core
 property is exactly what the correctness argument consumes.  The core is
 shrunk greedily from V; each removal test is a search tree of depth k+1 over
-closed-neighborhood bitmasks, whose branching factor is the number of
-dominators of the least-dominated needed vertex (two for a pendant leaf).
+closed-neighborhood bitmasks.  The bits run in descending degree order, so a
+node branches on the dominators of its top needed bit, the needed vertex of
+least degree (two for a pendant leaf).  The last level does not branch: the
+needed vertices' closed masks are ANDed together and the test fails as soon
+as no allowed vertex is left in the result.
 Vertices outside the core and the endpoint sets that share their
 core-neighborhood with another such vertex are strongly irrelevant: deleting
 them preserves not just the answer but shortest sequence lengths.
@@ -50,28 +53,27 @@ class DominationCore:
 def _dominated(closed: list[int], needed: int, allowed: int, budget: int) -> bool:
     """Whether at most ``budget`` vertices of ``allowed`` dominate ``needed``.
 
-    Bounded search tree over closed-neighborhood bitmasks: branch on the
-    needed vertex with the fewest dominators in ``allowed``; one with none
-    ends the branch.  A dominator already tried is left out of later siblings.
+    Bounded search tree over closed-neighborhood bitmasks whose bits run in
+    descending degree order: branch on the top bit of ``needed``, the needed
+    vertex of least degree, leaving a dominator already tried out of later
+    siblings.  With budget 1 the one dominator must lie in every needed
+    vertex's closed mask, so those masks are ANDed into ``allowed`` until the
+    result is 0.  ``budget`` is at least 1.
     """
     if not needed:
         return True
-    if not budget:
-        return False
-    best, best_count = 0, -1
-    rest = needed
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        cands = closed[low.bit_length() - 1] & allowed
-        count = cands.bit_count()
-        if not count:
-            return False
-        if best_count < 0 or count < best_count:
-            best, best_count = cands, count
-    while best:
-        low = best & -best
-        best ^= low
+    if budget == 1:
+        while needed:
+            low = needed & -needed
+            needed ^= low
+            allowed &= closed[low.bit_length() - 1]
+            if not allowed:
+                return False
+        return True
+    cands = closed[needed.bit_length() - 1] & allowed
+    while cands:
+        low = cands & -cands
+        cands ^= low
         if _dominated(closed, needed & ~closed[low.bit_length() - 1], allowed, budget - 1):
             return True
         allowed ^= low
@@ -89,17 +91,20 @@ def compute_bounded_core(g: Graph, k: int) -> DominationCore:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    verts, _pos, nbr = bitset_index(g)
+    # Stable sort: among equal degrees, bits keep ascending ids.
+    order = sorted(g.vertices, key=g.degree, reverse=True)
+    verts, pos, nbr = bitset_index(g, order)
     closed = [mask | 1 << i for i, mask in enumerate(nbr)]
     full = (1 << len(verts)) - 1
     if not _dominated(closed, full, full, k):
         raise InfeasibleInstanceError(f"graph has no dominating set of size <= {k}")
     core_mask = full
-    for i, mask in enumerate(closed):
+    for v in g.vertices:
+        i = pos[v]
         bit = 1 << i
-        if not _dominated(closed, core_mask & ~bit, full & ~mask, k + 1):
+        if not _dominated(closed, core_mask & ~bit, full & ~closed[i], k + 1):
             core_mask &= ~bit
-    core = frozenset(v for i, v in enumerate(verts) if core_mask >> i & 1)
+    core = frozenset(v for v in verts if core_mask >> pos[v] & 1)
     return DominationCore(core=core)
 
 

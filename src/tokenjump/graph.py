@@ -148,12 +148,15 @@ def degeneracy_order(g: Graph) -> DegeneracyResult:
     return DegeneracyResult(d=d, order=tuple(order))
 
 
-def bitset_index(g: Graph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
-    """Ascending vertices, their bit positions, and open neighbor masks.
+def bitset_index(
+    g: Graph, order: Iterable[int] | None = None
+) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
+    """Vertices in bit order, their bit positions, and open neighbor masks.
 
+    Bits follow ascending ids unless ``order`` lists the vertices otherwise.
     ``nbr[i] | 1 << i`` is the closed neighborhood of ``vertices[i]``.
     """
-    verts = g.vertices
+    verts = g.vertices if order is None else tuple(order)
     pos = {v: i for i, v in enumerate(verts)}
     nbr = []
     for v in verts:

@@ -156,88 +156,95 @@ def _decode(data: str | bytes, error: type[ValueError]) -> str:
         raise error(f"input is not UTF-8: invalid byte at offset {exc.start}") from None
 
 
+def _int_error(parts: list[str], line_no: int) -> InstanceFormatError:
+    """The error for the first of ``parts`` that ``int`` rejects (one must)."""
+    for p in parts:
+        try:
+            int(p)
+        except ValueError:
+            break
+    return InstanceFormatError(f"expected an integer, got {p!r}", line_no)
+
+
+def _ints(parts: list[str], line_no: int) -> list[int]:
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise _int_error(parts, line_no) from None
+
+
 def parse_instance(data: str | bytes) -> Instance:
     data = _decode(data, InstanceFormatError)
     header: tuple[Problem, int, int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    edge_lines: dict[tuple[int, int], int] = {}
+    edge_lines: dict[tuple[int, int], int] = {}  # file edge -> its line
     source: list[int] | None = None
     target: list[int] | None = None
 
-    def fail(msg: str, line_no: int) -> InstanceFormatError:
-        return InstanceFormatError(msg, line=line_no)
-
-    def ints(parts: list[str], line_no: int) -> list[int]:
-        out = []
-        for p in parts:
-            try:
-                out.append(int(p))
-            except ValueError:
-                raise fail(f"expected an integer, got {p!r}", line_no) from None
-        return out
-
     for line_no, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0][0] in "#c":
             continue
-        parts = line.split()
         tag = parts[0]
+        if tag == "e" and header is not None:
+            if len(parts) != 3:
+                raise InstanceFormatError("edge line must be 'e <u> <v>'", line_no)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise _int_error(parts[1:], line_no) from None
+            if not 1 <= u < v <= n:
+                raise InstanceFormatError(
+                    f"edge ({u}, {v}) must satisfy 1 <= u < v <= n", line_no
+                )
+            first = edge_lines.setdefault((u, v), line_no)
+            if first != line_no:
+                raise InstanceFormatError(
+                    f"duplicate edge ({u}, {v}), first seen on line {first}", line_no
+                )
+            continue
         if tag == "p":
             if header is not None:
-                raise fail("duplicate problem line", line_no)
+                raise InstanceFormatError("duplicate problem line", line_no)
             if len(parts) != 5:
-                raise fail("problem line must be 'p <isr|dsr> <n> <m> <k>'", line_no)
-            if parts[1] not in (Problem.ISR.value, Problem.DSR.value):
-                raise fail(f"unknown problem tag {parts[1]!r}", line_no)
-            n, m, k = ints(parts[2:], line_no)
-            if n < 1:
-                raise fail("n must be >= 1", line_no)
-            if m < 0:
-                raise fail("m must be >= 0", line_no)
-            if k < 1:
-                raise fail("k must be >= 1", line_no)
-            header = (Problem(parts[1]), n, m, k)
-            continue
-        if header is None:
-            raise fail(f"{tag!r} line before the problem line", line_no)
-        problem, n, m, k = header
-        if tag == "e":
-            if len(parts) != 3:
-                raise fail("edge line must be 'e <u> <v>'", line_no)
-            u, v = ints(parts[1:], line_no)
-            if not (1 <= u < v <= n):
-                raise fail(f"edge ({u}, {v}) must satisfy 1 <= u < v <= n", line_no)
-            if (u, v) in edge_lines:
-                raise fail(
-                    f"duplicate edge ({u}, {v}), first seen on line {edge_lines[(u, v)]}",
-                    line_no,
+                raise InstanceFormatError(
+                    "problem line must be 'p <isr|dsr> <n> <m> <k>'", line_no
                 )
-            edge_lines[(u, v)] = line_no
-            edges.append((u - 1, v - 1))
+            if parts[1] not in (Problem.ISR.value, Problem.DSR.value):
+                raise InstanceFormatError(f"unknown problem tag {parts[1]!r}", line_no)
+            n, m, k = _ints(parts[2:], line_no)
+            if n < 1:
+                raise InstanceFormatError("n must be >= 1", line_no)
+            if m < 0:
+                raise InstanceFormatError("m must be >= 0", line_no)
+            if k < 1:
+                raise InstanceFormatError("k must be >= 1", line_no)
+            header = (Problem(parts[1]), n, m, k)
+        elif header is None:
+            raise InstanceFormatError(f"{tag!r} line before the problem line", line_no)
         elif tag in ("s", "t"):
             if (source if tag == "s" else target) is not None:
-                raise fail(f"duplicate {tag!r} line", line_no)
-            vs = ints(parts[1:], line_no)
+                raise InstanceFormatError(f"duplicate {tag!r} line", line_no)
+            vs = _ints(parts[1:], line_no)
             for v in vs:
-                if not (1 <= v <= n):
-                    raise fail(f"vertex {v} out of range 1..{n}", line_no)
+                if not 1 <= v <= n:
+                    raise InstanceFormatError(f"vertex {v} out of range 1..{n}", line_no)
             if tag == "s":
                 source = [v - 1 for v in vs]
             else:
                 target = [v - 1 for v in vs]
         else:
-            raise fail(f"unknown line tag {tag!r}", line_no)
+            raise InstanceFormatError(f"unknown line tag {tag!r}", line_no)
 
     if header is None:
         raise InstanceFormatError("missing problem line")
     problem, n, m, k = header
-    if len(edges) != m:
-        raise InstanceFormatError(f"expected {m} edge lines, found {len(edges)}")
+    if len(edge_lines) != m:
+        raise InstanceFormatError(f"expected {m} edge lines, found {len(edge_lines)}")
     if source is None:
         raise InstanceFormatError("missing source line")
     if target is None:
         raise InstanceFormatError("missing target line")
-    graph = Graph(range(n), edges)
+    graph = Graph(range(n), [(u - 1, v - 1) for u, v in edge_lines])
     try:
         return Instance(problem, graph, k, frozenset(source), frozenset(target))
     except ValueError as exc:
@@ -253,18 +260,15 @@ def serialize_instance(inst: Instance) -> str:
     """
     g = inst.graph
     old_ids = g.vertices
-    new_of = {old: i + 1 for i, old in enumerate(old_ids)}
-    dense = all(old + 1 == new for old, new in new_of.items())
+    name = {old: str(i + 1) for i, old in enumerate(old_ids)}
     lines = []
-    if not dense:
-        for old in old_ids:
-            lines.append(f"c map {new_of[old]} {old + 1}")
+    if old_ids != tuple(range(len(old_ids))):
+        lines = [f"c map {name[old]} {old + 1}" for old in old_ids]
     lines.append(f"p {inst.problem.value} {g.n} {g.m} {inst.k}")
-    for u, v in g.edges():
-        a, b = sorted((new_of[u], new_of[v]))
-        lines.append(f"e {a} {b}")
-    lines.append("s " + " ".join(str(new_of[v]) for v in sorted(inst.source)))
-    lines.append("t " + " ".join(str(new_of[v]) for v in sorted(inst.target)))
+    for u in old_ids:
+        lines += [f"e {name[u]} {name[w]}" for w in g.neighbors(u) if w > u]
+    lines.append("s " + " ".join(name[v] for v in sorted(inst.source)))
+    lines.append("t " + " ".join(name[v] for v in sorted(inst.target)))
     return "\n".join(lines) + "\n"
 
 

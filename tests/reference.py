@@ -282,6 +282,57 @@ def bounded_core(g: Graph, k: int) -> frozenset[int]:
     return frozenset(v for v in g.vertices if core_mask >> pos[v] & 1)
 
 
+def _min_count_dominated(closed: list[int], needed: int, allowed: int, budget: int) -> bool:
+    """Whether at most ``budget`` vertices of ``allowed`` dominate ``needed``.
+
+    Every node scans all of ``needed`` for the vertex with the fewest
+    dominators in ``allowed`` and branches on them, down to budget 0.
+    """
+    if not needed:
+        return True
+    if not budget:
+        return False
+    best, best_count = 0, -1
+    rest = needed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cands = closed[low.bit_length() - 1] & allowed
+        count = cands.bit_count()
+        if not count:
+            return False
+        if best_count < 0 or count < best_count:
+            best, best_count = cands, count
+    while best:
+        low = best & -best
+        best ^= low
+        if _min_count_dominated(
+            closed, needed & ~closed[low.bit_length() - 1], allowed, budget - 1
+        ):
+            return True
+        allowed ^= low
+    return False
+
+
+def search_core(g: Graph, k: int) -> frozenset[int]:
+    """The one-pass greedy core, each removal decided by a min-count search tree.
+
+    Bits follow ascending ids.  This is the oracle of ``compute_bounded_core``
+    on graphs too large for ``bounded_core`` to enumerate.
+    """
+    verts, _pos, nbr = bitset_index(g)
+    closed = [mask | 1 << i for i, mask in enumerate(nbr)]
+    full = (1 << len(verts)) - 1
+    if not _min_count_dominated(closed, full, full, k):
+        raise InfeasibleInstanceError(f"graph has no dominating set of size <= {k}")
+    core_mask = full
+    for i, mask in enumerate(closed):
+        bit = 1 << i
+        if not _min_count_dominated(closed, core_mask & ~bit, full & ~mask, k + 1):
+            core_mask &= ~bit
+    return frozenset(v for i, v in enumerate(verts) if core_mask >> i & 1)
+
+
 def degeneracy_order(g: Graph) -> DegeneracyResult:
     """Min-degree peeling by a full scan of the vertices left at every step."""
     degs = {v: g.degree(v) for v in g.vertices}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,13 +11,16 @@ from tokenjump import (
     Verdict,
     bfs_reconfig,
     compute_bounded_core,
+    gen_random_degenerate,
     isr_to_dsr,
     kernelize_dsr,
     parse_instance,
+    plant_isr_instance,
     remove_core_twins,
     solve_dsr,
     verify_sequence,
 )
+from tokenjump import dsr
 
 import reference
 
@@ -83,6 +87,81 @@ def test_core_equals_brute_force_oracle():
         assert compute_bounded_core(g, k).core == reference.bounded_core(g, k)
 
 
+def k3_gadgets():
+    """The nine k = 3 gadgets of 5- to 7-vertex ISR trees (225-321 vertices)."""
+    gadgets = []
+    for n in (5, 6, 7):
+        for seed in (1, 2, 3):
+            inst = plant_isr_instance(gen_random_degenerate(n, 1, seed), 3, seed)
+            gadgets.append(isr_to_dsr(inst)[0])
+    return gadgets
+
+
+def pendant_heavy_graphs():
+    """n = 40-160 with k = 2-3; seed 1 needs more than 2 dominators."""
+    return [
+        (reference._pendant_heavy_graph(n, random.Random(seed)), k)
+        for n in (40, 80, 120, 160)
+        for k in (2, 3)
+        for seed in (1, 2)
+    ]
+
+
+def core_or_infeasible(core_fn, g, k):
+    try:
+        return core_fn(g, k)
+    except InfeasibleInstanceError:
+        return None
+
+
+def test_core_equals_search_oracle_beyond_brute_force():
+    gadgets = k3_gadgets()
+    assert sorted(gad.graph.n for gad in gadgets) == [225] * 3 + [273] * 3 + [321] * 3
+    graphs = [(gad.graph, gad.k) for gad in gadgets] + pendant_heavy_graphs()
+    infeasible = 0
+    for g, k in graphs:
+        core = core_or_infeasible(lambda g, k: compute_bounded_core(g, k).core, g, k)
+        assert core == core_or_infeasible(reference.search_core, g, k)
+        infeasible += core is None
+    assert infeasible == 4
+
+
+class _CountedReads(list):
+    """A mask list that counts how often the core search reads it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountedReads.reads += 1
+        return list.__getitem__(self, i)
+
+
+@pytest.mark.parametrize(
+    "g, k, bound",
+    [
+        # A 56-vertex gadget: 819 mask reads here, 4569 when every node
+        # scanned all needed vertices for the fewest dominators.
+        (isr_to_dsr(plant_isr_instance(gen_random_degenerate(4, 1, 1), 2, 1))[0].graph, 2, 2000),
+        # Pendant-heavy, n = 160, k = 3: 3359 here, 49190 with that scan.
+        (reference._pendant_heavy_graph(160, random.Random(1)), 3, 12000),
+    ],
+    ids=["gadget", "pendant-heavy"],
+)
+def test_core_search_reads_few_masks(monkeypatch, g, k, bound):
+    """The branching rule keeps the core search's closed-mask reads low."""
+    search = dsr._dominated
+
+    def counted(closed, *rest):
+        if not isinstance(closed, _CountedReads):
+            closed = _CountedReads(closed)
+        return search(closed, *rest)
+
+    _CountedReads.reads = 0
+    monkeypatch.setattr(dsr, "_dominated", counted)
+    assert compute_bounded_core(g, k).core == reference.search_core(g, k)
+    assert 0 < _CountedReads.reads <= bound
+
+
 @pytest.mark.parametrize(
     "g, k",
     [
@@ -94,6 +173,8 @@ def test_core_equals_brute_force_oracle():
 def test_core_and_oracle_agree_on_infeasible_graphs(g, k):
     with pytest.raises(InfeasibleInstanceError):
         reference.bounded_core(g, k)
+    with pytest.raises(InfeasibleInstanceError):
+        reference.search_core(g, k)
     with pytest.raises(InfeasibleInstanceError):
         compute_bounded_core(g, k)
 

@@ -77,11 +77,25 @@ def test_parse_accepts_comments_and_bytes():
         (lambda t: t.replace("e 1 2", "x 1 2"), "unknown line tag"),
         (lambda t: t.replace("e 1 2", "e 1 two"), "expected an integer"),
         (lambda t: "e 1 2\n" + t, "before the problem line"),
+        (lambda t: t.replace("e 1 2", "e 1"), "edge line must be 'e <u> <v>'"),
+        (lambda t: t.replace("e 1 2", "e 1 2 3"), "edge line must be 'e <u> <v>'"),
+        (lambda t: t.replace("s 1 3", "s 1 9"), r"vertex 9 out of range 1\.\.4"),
+        (lambda t: t.replace("s 1 3", "p isr 4 3 2\ns 1 3"), "duplicate problem line"),
+        (lambda t: t.replace("p isr 4 3 2", "p isr 0 3 2"), "n must be >= 1"),
+        (lambda t: t.replace("p isr 4 3 2", "p isr 4 -1 2"), "m must be >= 0"),
+        (lambda t: t.replace("p isr 4 3 2", "p isr 4 3 0"), "line 1: k must be >= 1"),
     ],
 )
 def test_parse_errors(mangle, fragment):
     with pytest.raises(InstanceFormatError, match=fragment):
         parse_instance(mangle(P4_TEXT))
+
+
+def test_duplicate_edge_names_the_line_it_was_first_seen_on():
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(P4_TEXT.replace("e 3 4", "e 1 2"))
+    assert str(info.value) == "line 4: duplicate edge (1, 2), first seen on line 2"
+    assert info.value.line == 4
 
 
 def test_parse_error_carries_line_number():
