@@ -2,8 +2,8 @@
 
 The toolkit bundles a ground-truth breadth-first search over the
 reconfiguration graph, certificate-carrying kernelization pipelines for both
-problems, a constructive sunflower extractor, an ISR-to-DSR gadget
-transformation, and a CLI with a stable instance format.
+problems, an ISR-to-DSR gadget transformation, and a CLI with a stable
+instance format.
 """
 
 from .graph import DegeneracyResult, Graph, contains_biclique, degeneracy_order
@@ -34,13 +34,6 @@ from .engine import (
     bfs_reconfig,
     size_bounds,
     verify_sequence,
-)
-from .sunflower import (
-    SetFamily,
-    Sunflower,
-    find_sunflower,
-    is_valid_sunflower,
-    sunflower_threshold,
 )
 from .degenerate import (
     DegenerateKernel,

@@ -21,6 +21,7 @@ from .engine import (
 from .graph import contains_biclique, degeneracy_order
 from .hardness import isr_to_dsr
 from .instances import (
+    MAX_VERTICES,
     InstanceFormatError,
     Problem,
     ReductionLog,
@@ -67,20 +68,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _at_least(lo: int):
-    """An argparse ``type=`` for integers >= lo; a bad value is a usage error."""
+def _int_range(lo: int, hi: int | None = None):
+    """An argparse ``type=`` for integers in lo..hi; a bad value is a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-_positive, _non_negative = _at_least(1), _at_least(0)
+_positive, _non_negative = _int_range(1), _int_range(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("gen", help="generate a random planted instance")
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--n", type=_int_range(1, MAX_VERTICES), required=True)
     p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--seed", type=int, default=0)

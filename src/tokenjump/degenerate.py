@@ -4,7 +4,8 @@ Two answer-preserving deletion rules run to a fixpoint: closed-twin removal,
 and an irrelevant-vertex rule that extracts a sunflower with 2k petals from
 the closed neighborhoods of low-degree vertices whenever there are more of
 them than ``low_degree_threshold(d, k)``.  Every deletion carries a
-certificate that can be re-checked by replaying the log.
+certificate that can be re-checked by replaying the log: the core and the
+2k petal centers the rule needs, checked on the bitsets before the deletion.
 
 Both ISR kernels, this one and the scattered-set kernel in ``quasiwide``,
 reduce one ``Workspace``: a bitset copy of the graph built once per
@@ -19,8 +20,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import Graph, bitset_index, degeneracy_order, set_bits
@@ -32,10 +34,10 @@ from .instances import (
     ReductionLog,
     ReductionStep,
 )
-from .sunflower import SetFamily, find_sunflower
 
 __all__ = [
     "DegenerateKernel",
+    "extract_sunflower",
     "low_degree_threshold",
     "kernel_vertex_bound",
     "remove_closed_twins",
@@ -73,9 +75,9 @@ class Workspace:
     """A graph being reduced: bitsets edited in place, and the log so far.
 
     Holds the ascending vertex ids, their bit positions, the open neighbor
-    masks, the masks of live and anchor positions, and a cache of closed
-    neighborhoods as id sets.  Once ``remove_twins`` has run, it also keeps
-    the live non-anchor positions grouped by closed neighborhood mask.
+    masks and the masks of live and anchor positions.  Once ``remove_twins``
+    has run, it also keeps the live non-anchor positions grouped by closed
+    neighborhood mask.
     ``delete`` clears the deleted bit from its neighbors' masks and re-keys
     their groups; rules that keep more state extend it.
     """
@@ -89,18 +91,8 @@ class Workspace:
         for v in anchors:
             self.anchor_mask |= 1 << self.pos[v]
         self.log = ReductionLog()
-        self._closed: dict[int, frozenset[int]] = {}
         self._groups: Optional[dict[int, list[int]]] = None
         self._rekeyed: list[int] = []
-
-    def closed_set(self, i: int) -> frozenset[int]:
-        """Closed neighborhood of position i, as vertex ids."""
-        closed = self._closed.get(i)
-        if closed is None:
-            verts = self.verts
-            closed = frozenset([verts[j] for j in set_bits(self.nbr[i] | 1 << i)])
-            self._closed[i] = closed
-        return closed
 
     def delete(self, i: int, step: ReductionStep) -> int:
         """Delete position i, logging ``step``; returns i's neighbor mask."""
@@ -109,14 +101,12 @@ class Workspace:
         nb = self.nbr[i]
         self.nbr[i] = 0
         self.alive ^= bit
-        self._closed.pop(i, None)
         groups = self._groups
         if groups is not None:
             self._ungroup(i, nb | bit)
         for w in set_bits(nb):
             old = self.nbr[w]
             self.nbr[w] = old ^ bit
-            self._closed.pop(w, None)
             if groups is not None and not self.anchor_mask >> w & 1:
                 self._ungroup(w, old | 1 << w)
                 groups.setdefault(self.nbr[w] | 1 << w, []).append(w)
@@ -195,12 +185,72 @@ def _degeneracy_core(nbr: list[int], alive: int) -> tuple[int, int]:
     return d, core
 
 
+def extract_sunflower(masks: Iterable[int], want: int) -> Optional[list[int]]:
+    """Indices of ``want`` masks that form a sunflower, or None.
+
+    The masks must be distinct and nonempty.  A greedy reads them in order
+    and keeps each one disjoint from those kept, and stops at ``want``; only
+    when it falls short are the masks past it read.  Then the most frequent
+    bit (ties to the lowest) joins the core, and the search recurses on the
+    masks holding it, without it.  The petals are the kept indices,
+    ascending; the core is the meet of any two of their masks.  With more
+    than ``c! * (want - 1) ** c`` masks of at most c bits a sunflower is
+    always found (Erdos and Rado); below that, None may come back.
+    """
+    if want < 1:
+        raise ValueError("want must be >= 1")
+    return _extract(enumerate(masks), want)
+
+
+def _extract(indexed: Iterable[tuple[int, int]], want: int) -> Optional[list[int]]:
+    read: list[tuple[int, int]] = []
+    used = 0
+    chosen: list[int] = []
+    for idx, mask in indexed:
+        read.append((idx, mask))
+        if mask and not used & mask:
+            chosen.append(idx)
+            if len(chosen) == want:
+                return chosen
+            used |= mask
+    if len(read) < want:
+        return None
+    freq = Counter(bit for _, mask in read for bit in set_bits(mask))
+    if not freq:
+        return None
+    best = max(sorted(freq), key=freq.__getitem__)
+    bit = 1 << best
+    return _extract([(idx, mask ^ bit) for idx, mask in read if mask & bit], want)
+
+
+def _sunflower_core(nbr: list[int], petals: list[int], allowed: int, wanted: int) -> int:
+    """The core mask of the petals' closed neighborhoods, checked as a sunflower.
+
+    There must be at least ``wanted`` petals; the core, the first two closed
+    neighborhoods' meet, must lie in every one and inside ``allowed``; and
+    the parts outside the core must be nonempty and pairwise disjoint.
+    Anything else is an internal error.
+    """
+    closed = [nbr[a] | 1 << a for a in petals]
+    if len(closed) >= wanted:
+        core = closed[0] & closed[1]
+        used = 0
+        for mask in closed:
+            own = mask & ~core
+            if core & ~mask or not own or used & own:
+                break
+            used |= own
+        else:
+            if not core & ~allowed:
+                return core
+    raise RuntimeError("sunflower failed validation")
+
+
 class _LowDegreeWorkspace(Workspace):
     """Workspace for the low-degree rule.
 
     Maintains the degeneracy d, the d-core and the sorted list of live
-    non-anchor positions of degree at most 2d, with their closed
-    neighborhoods once the rule has needed them.  Deleting a core vertex
+    non-anchor positions of degree at most 2d.  Deleting a core vertex
     peels the core vertices left with fewer than d core neighbors, as in
     Batagelj and Zaversnik's core decomposition; d never rises under
     deletions, and it is recomputed only when the d-core empties.  A ``d``
@@ -221,27 +271,15 @@ class _LowDegreeWorkspace(Workspace):
         self._low = [
             i for i in set_bits(self.alive & ~self.anchor_mask) if nbr[i].bit_count() <= bound
         ]
-        self._family: Optional[list[frozenset[int]]] = None
 
     def delete(self, i: int, step: ReductionStep) -> int:
         nb = super().delete(i, step)
-        nbr, low, family, bound = self.nbr, self._low, self._family, 2 * self.d
+        nbr, low, bound = self.nbr, self._low, 2 * self.d
         if nb.bit_count() <= bound:
-            j = bisect_left(low, i)
-            del low[j]
-            if family is not None:
-                del family[j]
+            del low[bisect_left(low, i)]
         for w in set_bits(nb & ~self.anchor_mask):
-            degree = nbr[w].bit_count()
-            if degree > bound:
-                continue
-            j = bisect_left(low, w)
-            if degree == bound:
-                low.insert(j, w)
-                if family is not None:
-                    family.insert(j, self.closed_set(w))
-            elif family is not None:
-                family[j] = self.closed_set(w)
+            if nbr[w].bit_count() == bound:
+                low.insert(bisect_left(low, w), w)
         if self._core is not None and self._core >> i & 1:
             self._peel_core(i, nb)
         return nb
@@ -261,25 +299,33 @@ class _LowDegreeWorkspace(Workspace):
             self._set_low()
 
     def low_degree_once(self) -> Optional[ReductionStep]:
-        """One deletion by the low-degree rule; see ``reduce_low_degree_once``."""
-        d, k, low = self.d, self.k, self._low
+        """One deletion by the low-degree rule; see ``reduce_low_degree_once``.
+
+        The closed neighborhoods of the low-degree list are read in
+        ascending position, which is ascending id, only as far as the
+        extraction needs them.  Twin removal has made them distinct, and
+        each has at most 2d + 1 bits.
+        """
+        d, k, low, nbr = self.d, self.k, self._low, self.nbr
         if len(low) <= low_degree_threshold(d, k):
             return None
-        if self._family is None:
-            self._family = [self.closed_set(i) for i in low]
-        family = SetFamily(self._family, card_bound=2 * d + 1)
-        flower = find_sunflower(family, 2 * k)
-        if flower is None or len(flower.petal_indices) < 2 * k:
+        found = extract_sunflower((nbr[i] | 1 << i for i in low), 2 * k)
+        if found is None:
             raise RuntimeError(
                 "sunflower extraction failed above the guarantee threshold"
             )
-        centers = [self.verts[low[i]] for i in flower.petal_indices]
+        petals = [low[j] for j in found]
+        core = _sunflower_core(nbr, petals, self.alive, 2 * k)
+        verts = self.verts
         step = ReductionStep(
             RULE_SUNFLOWER,
-            centers[0],
-            {"core": sorted(flower.core), "petal_centers": centers},
+            verts[petals[0]],
+            {
+                "core": [verts[i] for i in set_bits(core)],
+                "petal_centers": [verts[i] for i in petals],
+            },
         )
-        self.delete(low[flower.petal_indices[0]], step)
+        self.delete(petals[0], step)
         return step
 
 

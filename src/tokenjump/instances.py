@@ -8,6 +8,7 @@ File format (line-oriented, ``#`` or ``c`` prefixes comments)::
     t <v1> ... <vk>
 
 Vertices are 1-indexed in files and mapped to 0-indexed ids internally.
+The header's n may be at most ``MAX_VERTICES``.
 Reports are JSON objects with fields ``answer``, ``sequence`` (present iff
 yes), ``kernel`` {n, m, deleted}, ``rules`` and ``stats``; all vertex ids in
 reports use the 1-indexed file coordinates.  ``layout_json`` writes them, and
@@ -26,6 +27,10 @@ from typing import Iterable, Optional
 from .graph import Graph
 
 REASON_BUDGET = "state budget exceeded"
+
+# The parser builds all n vertices before any edge line can be checked, at
+# about 0.7 kB and 5 us a vertex, so a header alone could exhaust memory.
+MAX_VERTICES = 100_000
 
 RULE_TWIN = "twin"
 RULE_SUNFLOWER = "sunflower-degenerate"
@@ -109,6 +114,13 @@ class ReductionStep:
       sunflower-degenerate  {"core": [...], "petal_centers": [...]}
       quasi-wide            {"core": [...], "petal_centers": [...], "deletions": [...]}
       core-twin             {"survivor": v, "shared_core_neighborhood": [...]}
+
+    The petal centers' closed neighborhoods meet pairwise in exactly the
+    core, and the first center is the deleted vertex.  A
+    ``sunflower-degenerate`` step, and a ``quasi-wide`` step with no
+    deletions, lists the 2k petals the rule needs, in ascending id; a
+    ``quasi-wide`` step past B = {} lists the whole cell of its scattered
+    set, 2k or more.
     """
 
     rule: str
@@ -214,6 +226,8 @@ def parse_instance(data: str | bytes) -> Instance:
             n, m, k = _ints(parts[2:], line_no)
             if n < 1:
                 raise InstanceFormatError("n must be >= 1", line_no)
+            if n > MAX_VERTICES:
+                raise InstanceFormatError(f"n must be <= {MAX_VERTICES}", line_no)
             if m < 0:
                 raise InstanceFormatError("m must be >= 0", line_no)
             if k < 1:

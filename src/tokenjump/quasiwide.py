@@ -17,8 +17,9 @@ The kernel reduces one ``degenerate.Workspace`` from start to fixpoint.
 Anchors are never deleted, so the classes are computed once, and each
 radius-2 ball is computed once and kept until a deletion next to its centre
 (a deletion two steps away only clears its bit).  The certifying sunflower
-is checked on the closed-neighborhood masks themselves.  Once
-the failed sweeps past B = {} have cost about as much as comparing the
+is checked on the closed-neighborhood masks, by the check the low-degree
+rule uses too.  The sweep for B = {} stops at the 2k petals the rule needs.
+Once the failed sweeps past B = {} have cost about as much as comparing the
 pool's balls pairwise, the search compares them, and from then on rules a
 deletion set out without sweeping the pool when a clique cover of the pairs
 that no B can separate, plus the pool vertices next to B, falls short of the
@@ -31,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .degenerate import Workspace
+from .degenerate import Workspace, _sunflower_core
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import Graph, bitset_index, set_bits
 from .instances import (
@@ -156,29 +157,6 @@ def _conflicts(
     return robust, fragile, cover
 
 
-def _sunflower_core(nbr: list[int], petals: list[int], allowed: int, wanted: int) -> int:
-    """The core mask of the petals' closed neighborhoods, checked as a sunflower.
-
-    There must be at least ``wanted`` petals; the core, the first two closed
-    neighborhoods' meet, must lie in every one and inside ``allowed``; and
-    the parts outside the core must be nonempty and pairwise disjoint.
-    Anything else is an internal error.
-    """
-    closed = [nbr[a] | 1 << a for a in petals]
-    if len(closed) >= wanted:
-        core = closed[0] & closed[1]
-        used = 0
-        for mask in closed:
-            own = mask & ~core
-            if core & ~mask or not own or used & own:
-                break
-            used |= own
-        else:
-            if not core & ~allowed:
-                return core
-    raise RuntimeError("scattered-set sunflower failed validation")
-
-
 def _scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
     """Whether the certificate's balls in g minus its deletion set are disjoint."""
     _verts, pos, nbr = bitset_index(g)
@@ -242,9 +220,12 @@ class _ScatteredWorkspace(Workspace):
         pairwise disjoint; the candidate succeeds when at least
         ``required(|B|)`` are found, and a sweep stops once that is out of
         reach.  Every B tried costs one unit of ``search_budget``, and sizes
-        stop at the number of rest vertices.  The balls of a success are
-        recomputed from the adjacency masks before B's mask and the chosen
-        positions are returned.
+        stop at the number of rest vertices.  The B = {} sweep also stops
+        once it has ``required(0)`` vertices, all of one cell, so its petals
+        are the first 2k the whole sweep would find; past B = {} the cell
+        that supplies the petals depends on the whole sweep, which runs to
+        the end.  The balls of a success are recomputed from the adjacency
+        masks before B's mask and the chosen positions are returned.
 
         A pool vertex with no neighbor in B ("tame") has its cached ball minus
         B; only the "wild" ones, with a neighbor in B, need their ball
@@ -275,6 +256,8 @@ class _ScatteredWorkspace(Workspace):
             if used & ball:
                 continue
             chosen.append(i)
+            if len(chosen) == need:
+                break
             used |= ball
         if len(chosen) >= need and _balls_disjoint(nbr, chosen, anchors):
             return 0, chosen

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
-from collections import deque
-from typing import Optional
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from tokenjump import (
     DEFAULT_STATE_BUDGET,
@@ -28,19 +30,16 @@ from tokenjump import (
     ReductionStep,
     ScatteredCertificate,
     SearchOutcome,
-    SetFamily,
-    Sunflower,
     Verdict,
     bfs_reconfig,
-    find_sunflower,
     gen_random_degenerate,
-    is_valid_sunflower,
     kernel_vertex_bound,
     low_degree_threshold,
     partition_by_solution_neighborhood,
     plant_isr_instance,
     size_bounds,
 )
+from tokenjump.degenerate import extract_sunflower
 from tokenjump.graph import bitset_index
 from tokenjump.graph import degeneracy_order as heap_degeneracy_order
 
@@ -192,6 +191,137 @@ def fifo_bfs(
             parent[nm] = cur
             queue.append(nm)
     return SearchOutcome(Verdict.NO, None, len(parent))
+
+
+# -- the set-based sunflower extraction that the mask extractor replaced -----
+# Kept as it was: the mask extractor must choose the same petals, and the
+# certificate audit below checks petals with ``is_valid_sunflower``.
+
+
+class SetFamily:
+    """An indexed family of distinct nonempty sets of bounded size.
+
+    Members must be nonempty: a sunflower petal is required to be nonempty, so
+    an empty member could never participate in one and would break the
+    extraction guarantee.
+    """
+
+    __slots__ = ("members", "card_bound")
+
+    def __init__(
+        self, members: Iterable[Iterable[int]], card_bound: int | None = None
+    ) -> None:
+        mems = tuple(frozenset(m) for m in members)
+        if card_bound is None:
+            card_bound = max((len(m) for m in mems), default=1)
+        if card_bound < 1:
+            raise ValueError("card_bound must be >= 1")
+        seen: set[frozenset[int]] = set()
+        for idx, m in enumerate(mems):
+            if not m:
+                raise ValueError(f"member {idx} is empty")
+            if len(m) > card_bound:
+                raise ValueError(f"member {idx} exceeds card_bound {card_bound}")
+            if m in seen:
+                raise ValueError(f"member {idx} duplicates an earlier member")
+            seen.add(m)
+        self.members = mems
+        self.card_bound = card_bound
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
+class Sunflower:
+    """Member indices whose sets pairwise intersect in exactly ``core``."""
+
+    core: frozenset[int]
+    petal_indices: tuple[int, ...]
+
+
+def sunflower_threshold(card_bound: int, petals: int) -> int:
+    """Family size above which extraction of ``petals`` petals is guaranteed."""
+    return math.factorial(card_bound) * (petals - 1) ** card_bound
+
+
+def find_sunflower(fam: SetFamily, petals_wanted: int) -> Optional[Sunflower]:
+    """Extract a sunflower with at least ``petals_wanted`` petals.
+
+    Greedy maximal pairwise-disjoint selection first, keeping every petal it
+    finds; otherwise restrict to the most frequent element (ties to the
+    smallest id), strip it, recurse, and re-add it to the core.
+    """
+    if petals_wanted < 1:
+        raise ValueError("petals_wanted must be >= 1")
+    return _extract(list(enumerate(fam.members)), petals_wanted)
+
+
+def _extract(
+    indexed: list[tuple[int, frozenset[int]]], want: int
+) -> Optional[Sunflower]:
+    if len(indexed) < want:
+        return None
+    chosen: list[int] = []
+    union: set[int] = set()
+    for idx, s in indexed:
+        if s and not (s & union):
+            chosen.append(idx)
+            union |= s
+    if len(chosen) >= want:
+        return Sunflower(core=frozenset(), petal_indices=tuple(chosen))
+    freq: Counter[int] = Counter()
+    for _, s in indexed:
+        freq.update(s)
+    if not freq:
+        return None
+    best = max(freq.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    sub = [(idx, s - {best}) for idx, s in indexed if best in s]
+    inner = _extract(sub, want)
+    if inner is None:
+        return None
+    return Sunflower(core=inner.core | {best}, petal_indices=inner.petal_indices)
+
+
+def is_valid_sunflower(
+    fam: SetFamily, flower: Sunflower, petals_wanted: int | None = None
+) -> bool:
+    """Invariant check, linear in the petal sizes.
+
+    Two or more sets meet pairwise in exactly the core when the core lies in
+    each and their petals (set minus core) are pairwise disjoint.
+    """
+    idxs = flower.petal_indices
+    if len(set(idxs)) != len(idxs):
+        return False
+    if any(i < 0 or i >= len(fam.members) for i in idxs):
+        return False
+    if petals_wanted is not None and len(idxs) < petals_wanted:
+        return False
+    sets = [fam.members[i] for i in idxs]
+    petals = [s - flower.core for s in sets]
+    if not all(petals) or sum(map(len, petals)) != len(set().union(*petals)):
+        return False
+    return len(sets) < 2 or all(flower.core <= s for s in sets)
+
+
+def mask_sunflower(fam: SetFamily, want: int) -> Optional[Sunflower]:
+    """``degenerate.extract_sunflower`` on the members as bit masks.
+
+    Requires the set-based ``find_sunflower`` to agree: both find none, or
+    the masks' petals are the first ``want`` of the oracle's and their core,
+    the meet of two petals, is the oracle's.
+    """
+    found = extract_sunflower([sum(1 << e for e in m) for m in fam.members], want)
+    oracle = find_sunflower(fam, want)
+    if found is None:
+        assert oracle is None
+        return None
+    assert oracle is not None and list(oracle.petal_indices[:want]) == found
+    petals = [fam.members[i] for i in found]
+    core = petals[0] & petals[1] if len(petals) > 1 else frozenset()
+    assert core == oracle.core
+    return Sunflower(core, tuple(found))
 
 
 def check_reduction_log(inst: Instance, log, kernel_graph: Graph) -> None:
@@ -416,6 +546,46 @@ def log_digest(runs) -> str:
         steps = [[s.rule, s.vertex, s.certificate] for s in log]
         h.update(json.dumps([steps, kernel.graph.vertices], sort_keys=True).encode())
     return h.hexdigest()
+
+
+def two_k_petals(log: ReductionLog, k: int) -> ReductionLog:
+    """A reference log as the solver writes it: petal lists cut to their first 2k.
+
+    The kernels list only the 2k petals the rule needs where a greedy can
+    stop there: every ``sunflower-degenerate`` step, and ``quasi-wide``
+    steps with no deletions.  Past B = {} the whole cell stays.  Rules,
+    vertices, cores and deletion sets are kept as they are.
+    """
+    steps = []
+    for step in log:
+        cert = step.certificate
+        if step.rule == "sunflower-degenerate" or (
+            step.rule == "quasi-wide" and not cert["deletions"]
+        ):
+            step = ReductionStep(
+                step.rule, step.vertex, {**cert, "petal_centers": cert["petal_centers"][: 2 * k]}
+            )
+        steps.append(step)
+    return ReductionLog(steps)
+
+
+def assert_same_reductions(ours, ref, k: int) -> None:
+    """``ours`` equals the reference run ``(kernel, log, *rest)`` with its log
+    cut by ``two_k_petals``: same rules, vertices, cores, deletion sets,
+    kernels and the rest, and petal lists that are prefixes of the reference's."""
+    kernel, log, *rest = ref
+    assert ours == (kernel, two_k_petals(log, k), *rest)
+
+
+def scattered_prefix(
+    cert: Optional[ScatteredCertificate], target: int
+) -> Optional[ScatteredCertificate]:
+    """A reference certificate as the search returns it: with no deletions,
+    the first ``target`` scattered vertices in ascending id, where the
+    B = {} sweep stops; past B = {}, the whole sweep."""
+    if cert is None or cert.deleted:
+        return cert
+    return ScatteredCertificate(cert.deleted, frozenset(sorted(cert.scattered)[:target]))
 
 
 # -- the per-deletion ISR kernels that the reduction workspace replaced ------
@@ -760,6 +930,34 @@ def deletion_corpus() -> list[Instance]:
         corpus += [_cycle_and_paths(40, 80), _cycle_and_paths(20, 150)]
         _cache["deletion"] = corpus
     return _cache["deletion"]
+
+
+def hub_graph(rng):
+    """Hubs 0..h-1 (h = 1-3), every other vertex joined to 1-h of them, then
+    random chords; n = 6-40.  A vertex on j hubs is cut loose by deleting j."""
+    n = rng.randint(6, 40)
+    hubs = rng.randint(1, 3)
+    edges = {
+        (h, v) for v in range(hubs, n) for h in rng.sample(range(hubs), rng.randint(1, hubs))
+    }
+    for _ in range(rng.randint(0, n // 3)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(range(n), edges)
+
+
+def hub_corpus() -> list[Instance]:
+    """60 planted k = 2 instances on hub graphs with n >= 20, where the
+    scattered-set rule deletes both with and without a deletion set."""
+    if "hub" not in _cache:
+        rng = random.Random(0x5EED7)
+        corpus = []
+        while len(corpus) < 60:
+            g = hub_graph(rng)
+            inst = plant_isr_instance(g, 2, rng.randrange(2**30)) if g.n >= 20 else None
+            if inst is not None:
+                corpus.append(inst)
+        _cache["hub"] = corpus
+    return _cache["hub"]
 
 
 def no_instance_corpus() -> list[Instance]:

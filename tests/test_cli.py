@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -16,6 +19,7 @@ from tokenjump import (
     serialize_instance,
     solve_isr_degenerate,
 )
+import tokenjump
 from tokenjump import cli
 from tokenjump.instances import kernel_to_json, rules_to_json
 from tokenjump.cli import main
@@ -286,6 +290,36 @@ def test_out_of_range_numeric_flag_exits_64(capsys, p4_file, argv, flag):
     assert code == 64
     assert out == "" and f"argument {flag}: must be >=" in err
     assert "Traceback" not in err
+
+
+def test_gen_n_above_the_vertex_cap_exits_64(capsys):
+    code, out, err = run(capsys, "gen", "--n", "100001", "--d", "1", "--k", "2")
+    assert code == 64
+    assert out == "" and "argument --n: must be <= 100000, got 100001" in err
+
+
+def test_huge_header_exits_65_under_a_small_address_space(tmp_path):
+    """The header is refused before any vertex is built: a child process
+    with 256 MiB of address space exits 65, not 70 for exhausted memory."""
+    path = tmp_path / "huge.isr"
+    path.write_text("p isr 10000000000 0 1\ns 1\nt 1\n")
+    limit = 256 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(tokenjump.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tokenjump", "solve", str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 65, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "tokenjump: error: line 1: n must be <= 100000\n"
 
 
 @pytest.mark.parametrize(

@@ -27,8 +27,9 @@ P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
 
 # Digest (reference.log_digest) of kernelize_degenerate's logs and kernels on
 # the ISR corpus followed by the sparse corpus, recorded with the rescanning
-# twin removal and min-scan degeneracy order that reference.py keeps.
-KERNEL_LOGS_DIGEST = "b21dba6d2053d93fb4cffa5d558aed5af3ea30c18897fd6cffd131c605f4c6d2"
+# twin removal and min-scan degeneracy order that reference.py keeps, and the
+# set-based sunflower extraction, each log cut by reference.two_k_petals.
+KERNEL_LOGS_DIGEST = "f6301fc0af1dcc3dfa5298a47fda285d59722bcd268cb0f579aeab0edf2a3a9e"
 
 
 def isolated_instance(total, k=2):

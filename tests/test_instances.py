@@ -82,6 +82,7 @@ def test_parse_accepts_comments_and_bytes():
         (lambda t: t.replace("s 1 3", "s 1 9"), r"vertex 9 out of range 1\.\.4"),
         (lambda t: t.replace("s 1 3", "p isr 4 3 2\ns 1 3"), "duplicate problem line"),
         (lambda t: t.replace("p isr 4 3 2", "p isr 0 3 2"), "n must be >= 1"),
+        (lambda t: t.replace("p isr 4 3 2", "p isr 100001 3 2"), "line 1: n must be <= 100000"),
         (lambda t: t.replace("p isr 4 3 2", "p isr 4 -1 2"), "m must be >= 0"),
         (lambda t: t.replace("p isr 4 3 2", "p isr 4 3 0"), "line 1: k must be >= 1"),
     ],

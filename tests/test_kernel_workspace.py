@@ -1,8 +1,11 @@
 """The workspace kernels against the per-deletion loop they replaced.
 
 ``reference.kernelize_degenerate`` and ``reference.kernelize_quasiwide``
-restart every rule from scratch after each deletion; the kernels must give
-the same logs, kernels and d on inputs where the rules delete most vertices.
+restart every rule from scratch after each deletion and list every petal
+their greedy finds; the kernels must give the same kernels, d and logs, with
+each petal list cut to 2k where the solver stops at 2k
+(``reference.assert_same_reductions``), on inputs where the rules delete
+most vertices.
 """
 
 import itertools
@@ -40,7 +43,7 @@ def twins_follow_rule_deletions(log) -> bool:
 def test_degenerate_kernel_matches_per_deletion_loop():
     for inst in reference.deletion_corpus():
         ours = degenerate_run(inst)
-        assert ours == reference.kernelize_degenerate(inst)
+        reference.assert_same_reductions(ours, reference.kernelize_degenerate(inst), inst.k)
         assert twins_follow_rule_deletions(ours[1])
 
 
@@ -61,8 +64,49 @@ def test_quasiwide_kernel_matches_per_deletion_loop():
         # forests under the default search, the k = 1 graphs at threshold 2k
         params = QuasiWideParams() if inst.k == 2 else QuasiWideParams(class_threshold=2)
         ours = kernelize_quasiwide(inst, params)
-        assert ours == reference.kernelize_quasiwide(inst, params)
+        reference.assert_same_reductions(ours, reference.kernelize_quasiwide(inst, params), inst.k)
         assert twins_follow_rule_deletions(ours[1])
+
+
+@pytest.mark.parametrize("max_deletions", [1, 2, 3])
+def test_quasiwide_kernel_matches_per_deletion_loop_past_empty_deletion_sets(max_deletions):
+    params = QuasiWideParams(class_threshold=4, max_deletions=max_deletions)
+    deletion_sets = Counter()
+    for inst in reference.hub_corpus():
+        ours = kernelize_quasiwide(inst, params)
+        reference.assert_same_reductions(ours, reference.kernelize_quasiwide(inst, params), inst.k)
+        deletion_sets.update(
+            bool(step.certificate["deletions"]) for step in ours[1] if step.rule == "quasi-wide"
+        )
+    assert deletion_sets[True] >= 200 and deletion_sets[False] > 0, deletion_sets
+
+
+def test_low_degree_rule_reads_few_family_members(monkeypatch):
+    """The n = 2000 forest of ``gen --n 2000 --d 1 --k 2 --seed 1``: each
+    round reads about 2k closed neighborhoods of the ~860 low-degree ones,
+    and each certificate lists the 2k petal centers the rule needs."""
+    inst = plant_isr_instance(gen_random_degenerate(2000, 1, 1), 2, 1)
+    extract = degenerate.extract_sunflower
+    reads = rounds = 0
+
+    def counted(masks, want):
+        nonlocal rounds
+
+        def read():
+            nonlocal reads
+            for mask in masks:
+                reads += 1
+                yield mask
+
+        rounds += 1
+        return extract(read(), want)
+
+    monkeypatch.setattr(degenerate, "extract_sunflower", counted)
+    kern = kernelize_degenerate(inst)
+    steps = [step for step in kern.log if step.rule == "sunflower-degenerate"]
+    assert rounds == len(steps) == 1639
+    assert reads <= 5 * rounds
+    assert all(len(step.certificate["petal_centers"]) == 2 * inst.k for step in steps)
 
 
 @st.composite
@@ -86,8 +130,12 @@ def sparse_instances(draw):
     ),
 )
 def test_kernels_match_per_deletion_loop_on_small_graphs(inst, params):
-    assert degenerate_run(inst) == reference.kernelize_degenerate(inst)
-    assert kernelize_quasiwide(inst, params) == reference.kernelize_quasiwide(inst, params)
+    reference.assert_same_reductions(
+        degenerate_run(inst), reference.kernelize_degenerate(inst), inst.k
+    )
+    reference.assert_same_reductions(
+        kernelize_quasiwide(inst, params), reference.kernelize_quasiwide(inst, params), inst.k
+    )
 
 
 def test_kernels_rebuild_nothing_per_deletion(monkeypatch):
@@ -181,4 +229,6 @@ def test_isolated_vertices_fall_to_the_threshold(k):
     )
     kern = kernelize_degenerate(inst)
     assert kern.kernel.graph.n == 2 * k + 2 * k - 1
-    assert degenerate_run(inst) == reference.kernelize_degenerate(inst)
+    reference.assert_same_reductions(
+        degenerate_run(inst), reference.kernelize_degenerate(inst), inst.k
+    )

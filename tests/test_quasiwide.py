@@ -11,13 +11,10 @@ from tokenjump import (
     Problem,
     QuasiWideParams,
     ScatteredCertificate,
-    SetFamily,
-    Sunflower,
     Verdict,
     bfs_reconfig,
     find_scattered_with_deletions,
     gen_random_degenerate,
-    is_valid_sunflower,
     kernelize_quasiwide,
     parse_instance,
     partition_by_solution_neighborhood,
@@ -25,7 +22,7 @@ from tokenjump import (
     solve_isr_quasiwide,
     verify_sequence,
 )
-from tokenjump import cli, quasiwide
+from tokenjump import cli, degenerate, quasiwide
 from tokenjump.quasiwide import _ScatteredWorkspace, _scattered_valid
 
 import reference
@@ -35,8 +32,9 @@ P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
 # Digest (reference.log_digest) of kernelize_quasiwide's logs and kernels:
 # threshold 2k on the ISR corpus and the sparse corpus, then the default
 # parameters on the sparse corpus.  Recorded with the scattered-set search
-# that rebuilt every ball for every deletion set, and the pairwise checks.
-KERNEL_LOGS_DIGEST = "a6d758f36ce97c6356f5dd256afb0e2c942eb051822fc5ef22bef91fbfec4000"
+# that rebuilt every ball for every deletion set and swept the whole pool at
+# B = {}, and the pairwise checks, each log cut by reference.two_k_petals.
+KERNEL_LOGS_DIGEST = "d331be10a083ef5a2e0b40a2c184a21d668884952e22dbca040aee9a1594f717"
 
 
 def star(leaves):
@@ -113,9 +111,9 @@ def test_empty_deletion_certificates_give_empty_core_sunflowers():
     assert cert is not None and cert.deleted == frozenset()
     assert len(cert.scattered) >= 3
     members = [g.closed_neighbor_set(v) for v in sorted(cert.scattered)]
-    fam = SetFamily(members)
-    flower = Sunflower(frozenset(), tuple(range(len(members))))
-    assert is_valid_sunflower(fam, flower, len(members))
+    fam = reference.SetFamily(members)
+    flower = reference.Sunflower(frozenset(), tuple(range(len(members))))
+    assert reference.is_valid_sunflower(fam, flower, len(members))
 
 
 def test_reduce_fires_on_isolated_class():
@@ -150,8 +148,7 @@ def test_failed_sunflower_validation_is_an_internal_error(monkeypatch, tmp_path,
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == (
-        "tokenjump: internal error: RuntimeError: "
-        "scattered-set sunflower failed validation\n"
+        "tokenjump: internal error: RuntimeError: sunflower failed validation\n"
     )
 
 
@@ -176,8 +173,8 @@ K4 = masks(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 5), (
 
 def test_sunflower_core_on_masks():
     # N[1] = {0, 1, 5}, N[2] = {0, 2}, ...: core {0}, petals {1, 5}, {2}, {3}, {4}
-    assert quasiwide._sunflower_core(SPIDER, [1, 2, 3, 4], 1 << 0, 4) == 1 << 0
-    assert quasiwide._sunflower_core(SPIDER, [2, 3], 1 << 0, 2) == 1 << 0
+    assert degenerate._sunflower_core(SPIDER, [1, 2, 3, 4], 1 << 0, 4) == 1 << 0
+    assert degenerate._sunflower_core(SPIDER, [2, 3], 1 << 0, 2) == 1 << 0
 
 
 @pytest.mark.parametrize(
@@ -191,8 +188,8 @@ def test_sunflower_core_on_masks():
     ],
 )
 def test_sunflower_core_rejects_what_is_no_certificate(nbr, petals, allowed):
-    with pytest.raises(RuntimeError, match="^scattered-set sunflower failed validation$"):
-        quasiwide._sunflower_core(nbr, petals, allowed, 4)
+    with pytest.raises(RuntimeError, match="^sunflower failed validation$"):
+        degenerate._sunflower_core(nbr, petals, allowed, 4)
 
 
 def test_distance_two_balls_survive_a_deletion(monkeypatch):
@@ -329,19 +326,6 @@ def test_found_certificates_pass_pairwise_reference():
     assert found > 0
 
 
-def hub_graph(rng):
-    """Hubs 0..h-1 (h = 1-3), every other vertex joined to 1-h of them, then
-    random chords; n = 6-40.  A vertex on j hubs is cut loose by deleting j."""
-    n = rng.randint(6, 40)
-    hubs = rng.randint(1, 3)
-    edges = {
-        (h, v) for v in range(hubs, n) for h in rng.sample(range(hubs), rng.randint(1, hubs))
-    }
-    for _ in range(rng.randint(0, n // 3)):
-        edges.add(tuple(sorted(rng.sample(range(n), 2))))
-    return Graph(range(n), edges)
-
-
 def tried_before(g, deleted):
     """Deletion sets the search tries before ``deleted``: all smaller ones,
     and the earlier ones of its size."""
@@ -354,19 +338,21 @@ def tried_before(g, deleted):
 
 
 def test_scattered_search_matches_reference_on_hub_graphs():
-    """Same certificate as the sweep over every deletion set, budget cuts included."""
+    """Same certificate as the sweep over every deletion set, budget cuts included;
+    at B = {}, its first ``target`` vertices."""
     rng = random.Random(0x5CA77)
     levels = [0] * 4
     partway = 0
     for _ in range(1500):
-        g = hub_graph(rng)
+        g = reference.hub_graph(rng)
         pool = rng.sample(range(g.n), rng.randint(1, g.n))
         target = rng.randint(1, 8)
         params = QuasiWideParams(
             max_deletions=rng.randint(0, 3), search_budget=int(4000 ** rng.random() ** 0.5)
         )
         ours = find_scattered_with_deletions(g, frozenset(pool), target, params)
-        assert ours == reference.search_scattered(g, sorted(pool), params, lambda _s: target)
+        ref = reference.search_scattered(g, sorted(pool), params, lambda _s: target)
+        assert ours == reference.scattered_prefix(ref, target)
         if ours is None or not ours.deleted:
             levels[0] += ours is not None
             continue
@@ -381,8 +367,9 @@ def test_scattered_search_matches_reference_on_hub_graphs():
 
 
 def test_scattered_search_matches_reference_once_the_pool_is_compared(monkeypatch):
-    """Same certificate where sweeps fail long enough for the pool's balls to be
-    compared pairwise, so that later deletion sets are skipped and struck."""
+    """Same certificate (at B = {}, its first ``target`` vertices) where sweeps
+    fail long enough for the pool's balls to be compared pairwise, so that
+    later deletion sets are skipped and struck."""
     compared = []
     conflicts = quasiwide._conflicts
 
@@ -402,7 +389,8 @@ def test_scattered_search_matches_reference_once_the_pool_is_compared(monkeypatc
         )
         compared.clear()
         ours = find_scattered_with_deletions(g, frozenset(pool), target, params)
-        assert ours == reference.search_scattered(g, sorted(pool), params, lambda _s: target)
+        ref = reference.search_scattered(g, sorted(pool), params, lambda _s: target)
+        assert ours == reference.scattered_prefix(ref, target)
         found_after += bool(compared) and ours is not None
     assert found_after > 0
 

@@ -1,17 +1,16 @@
+"""Sunflower extraction on bit masks, cross-checked against the set-based
+oracle in ``reference`` by ``reference.mask_sunflower``; and the oracle's
+own family and validity checks."""
+
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tokenjump import (
-    SetFamily,
-    Sunflower,
-    find_sunflower,
-    is_valid_sunflower,
-    sunflower_threshold,
-)
+from tokenjump.degenerate import extract_sunflower
 
 import reference
+from reference import SetFamily, Sunflower, is_valid_sunflower, mask_sunflower, sunflower_threshold
 
 
 def test_family_validation():
@@ -27,7 +26,7 @@ def test_family_validation():
 
 def test_disjoint_singletons_have_empty_core():
     fam = SetFamily([{1}, {2}, {3}])
-    flower = find_sunflower(fam, 3)
+    flower = mask_sunflower(fam, 3)
     assert flower.core == frozenset()
     assert flower.petal_indices == (0, 1, 2)
     assert is_valid_sunflower(fam, flower, 3)
@@ -35,7 +34,7 @@ def test_disjoint_singletons_have_empty_core():
 
 def test_common_element_becomes_core():
     fam = SetFamily([{1, 2}, {1, 3}, {1, 4}])
-    flower = find_sunflower(fam, 3)
+    flower = mask_sunflower(fam, 3)
     assert flower.core == {1}
     assert len(flower.petal_indices) == 3
     assert is_valid_sunflower(fam, flower, 3)
@@ -46,21 +45,21 @@ def test_guarantee_on_many_pairs():
     assert sunflower_threshold(2, 3) == 8
     members = [{2 * i, 2 * i + 1} for i in range(200)]
     fam = SetFamily(members, card_bound=2)
-    flower = find_sunflower(fam, 3)
-    assert flower is not None and len(flower.petal_indices) >= 3
+    flower = mask_sunflower(fam, 3)
+    assert flower is not None and flower.petal_indices == (0, 1, 2)
     assert is_valid_sunflower(fam, flower, 3)
 
 
 def test_degenerate_inputs_return_absent():
-    assert find_sunflower(SetFamily([]), 1) is None
-    assert find_sunflower(SetFamily([{1}, {2}]), 3) is None
+    assert mask_sunflower(SetFamily([]), 1) is None
+    assert mask_sunflower(SetFamily([{1}, {2}]), 3) is None
     with pytest.raises(ValueError):
-        find_sunflower(SetFamily([{1}]), 0)
+        extract_sunflower([1 << 1], 0)
 
 
 def test_single_petal_request():
     fam = SetFamily([{1, 2}])
-    flower = find_sunflower(fam, 1)
+    flower = mask_sunflower(fam, 1)
     assert flower is not None and is_valid_sunflower(fam, flower, 1)
 
 
@@ -71,8 +70,8 @@ def test_determinism():
         members.add(frozenset(rng.sample(range(12), rng.randint(1, 3))))
     ordered = sorted(members, key=sorted)
     fam = SetFamily(ordered)
-    a = find_sunflower(fam, 3)
-    b = find_sunflower(SetFamily(ordered), 3)
+    a = mask_sunflower(fam, 3)
+    b = mask_sunflower(SetFamily(ordered), 3)
     assert a == b
 
 
@@ -104,9 +103,9 @@ def families(draw):
 @settings(deadline=None, max_examples=80)
 @given(families(), st.integers(1, 5))
 def test_found_flowers_always_satisfy_invariants(fam, want):
-    flower = find_sunflower(fam, want)
+    flower = mask_sunflower(fam, want)
     if flower is not None:
-        assert len(flower.petal_indices) >= want
+        assert len(flower.petal_indices) == want
         assert is_valid_sunflower(fam, flower, want)
 
 
@@ -120,7 +119,7 @@ def test_guarantee_above_threshold(card, petals, seed):
         size = rng.randint(1, card)
         members.add(frozenset(rng.sample(range(14), size)))
     fam = SetFamily(sorted(members, key=sorted), card_bound=card)
-    flower = find_sunflower(fam, petals)
+    flower = mask_sunflower(fam, petals)
     assert flower is not None
     assert is_valid_sunflower(fam, flower, petals)
 
@@ -131,7 +130,7 @@ def test_validator_matches_pairwise_reference(fam, data):
     idxs = tuple(data.draw(st.lists(st.integers(-1, len(fam)), max_size=6)))
     core = data.draw(st.frozensets(st.integers(0, 14), max_size=3))
     flowers = [Sunflower(core, idxs)]
-    found = find_sunflower(fam, 2)
+    found = mask_sunflower(fam, 2)
     if found is not None:
         extra = data.draw(st.integers(0, 14))
         flowers += [
