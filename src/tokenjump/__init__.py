@@ -40,17 +40,12 @@ from .degenerate import (
     kernel_vertex_bound,
     kernelize_degenerate,
     low_degree_threshold,
-    reduce_low_degree_once,
-    remove_closed_twins,
     solve_isr_degenerate,
 )
 from .quasiwide import (
     QuasiWideParams,
-    ScatteredCertificate,
-    find_scattered_with_deletions,
     kernelize_quasiwide,
     partition_by_solution_neighborhood,
-    reduce_quasiwide_once,
     solve_isr_quasiwide,
 )
 from .dsr import (

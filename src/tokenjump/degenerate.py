@@ -40,8 +40,6 @@ __all__ = [
     "extract_sunflower",
     "low_degree_threshold",
     "kernel_vertex_bound",
-    "remove_closed_twins",
-    "reduce_low_degree_once",
     "kernelize_degenerate",
     "solve_isr_degenerate",
 ]
@@ -66,11 +64,6 @@ class DegenerateKernel:
     kernel_bound: int
 
 
-def _require_isr(inst: Instance) -> None:
-    if inst.problem is not Problem.ISR:
-        raise ValueError("this reduction applies to ISR instances only")
-
-
 class Workspace:
     """A graph being reduced: bitsets edited in place, and the log so far.
 
@@ -82,9 +75,8 @@ class Workspace:
     their groups; rules that keep more state extend it.
     """
 
-    def __init__(self, graph: Graph, anchors: frozenset[int] = frozenset()) -> None:
+    def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
         self.graph = graph
-        self.anchors = anchors
         self.verts, self.pos, self.nbr = bitset_index(graph)
         self.alive = (1 << len(self.verts)) - 1
         self.anchor_mask = 0
@@ -123,9 +115,19 @@ class Workspace:
     def remove_twins(self) -> None:
         """Delete all closed twins outside the anchors but the least of each group.
 
-        The first call groups every live non-anchor position.  Later calls
-        look only at the groups of positions re-keyed since, which is where
-        a deletion can have made new twins (see ``remove_closed_twins``).
+        Two vertices are closed twins when N[u] = N[v]; one of them never
+        needs to be touched, so keeping the smaller id preserves the answer
+        (and even shortest sequences).  Deleting a vertex v with a closed twin
+        u makes no new twin pair and breaks none: were N[w1] and N[w2] equal
+        but for v, the one of them not adjacent to v would contain u (or be
+        u), and so be adjacent to v after all.  The first call therefore
+        groups every live non-anchor position in one scan; each group keeps
+        its smallest member, and groups are emptied in order of that member,
+        the order of rescanning after every deletion.  Any other deletion can
+        make new twins only of a neighbor w1 of the deleted vertex, whose
+        closed neighborhood changed, with some w2 whose closed neighborhood
+        now equals it; so later calls look only at the groups of positions
+        re-keyed since.
         """
         groups = self._groups
         if groups is None:
@@ -253,17 +255,13 @@ class _LowDegreeWorkspace(Workspace):
     non-anchor positions of degree at most 2d.  Deleting a core vertex
     peels the core vertices left with fewer than d core neighbors, as in
     Batagelj and Zaversnik's core decomposition; d never rises under
-    deletions, and it is recomputed only when the d-core empties.  A ``d``
-    given at construction is used as is and not maintained.
+    deletions, and it is recomputed only when the d-core empties.
     """
 
-    def __init__(self, inst: Instance, d: Optional[int] = None) -> None:
+    def __init__(self, inst: Instance) -> None:
         super().__init__(inst.graph, inst.anchors)
         self.k = inst.k
-        if d is None:
-            self.d, self._core = _degeneracy_core(self.nbr, self.alive)
-        else:
-            self.d, self._core = d, None
+        self.d, self._core = _degeneracy_core(self.nbr, self.alive)
         self._set_low()
 
     def _set_low(self) -> None:
@@ -280,7 +278,7 @@ class _LowDegreeWorkspace(Workspace):
         for w in set_bits(nb & ~self.anchor_mask):
             if nbr[w].bit_count() == bound:
                 low.insert(bisect_left(low, w), w)
-        if self._core is not None and self._core >> i & 1:
+        if self._core >> i & 1:
             self._peel_core(i, nb)
         return nb
 
@@ -299,12 +297,14 @@ class _LowDegreeWorkspace(Workspace):
             self._set_low()
 
     def low_degree_once(self) -> Optional[ReductionStep]:
-        """One deletion by the low-degree rule; see ``reduce_low_degree_once``.
+        """Delete one irrelevant low-degree vertex, with a sunflower certificate.
 
-        The closed neighborhoods of the low-degree list are read in
-        ascending position, which is ascending id, only as far as the
-        extraction needs them.  Twin removal has made them distinct, and
-        each has at most 2d + 1 bits.
+        Returns None unless the count of live non-anchor vertices of degree
+        at most 2d is strictly above ``low_degree_threshold(d, k)``.  The
+        closed neighborhoods of the low-degree list are read in ascending
+        position, which is ascending id, only as far as the extraction needs
+        them.  Twin removal has made them distinct, and each has at most
+        2d + 1 bits, so above the threshold a sunflower of 2k petals exists.
         """
         d, k, low, nbr = self.d, self.k, self._low, self.nbr
         if len(low) <= low_degree_threshold(d, k):
@@ -329,46 +329,6 @@ class _LowDegreeWorkspace(Workspace):
         return step
 
 
-def remove_closed_twins(inst: Instance) -> tuple[Instance, ReductionLog]:
-    """Delete one of any pair of closed twins outside the solution sets.
-
-    Two vertices are closed twins when N[u] = N[v]; one of them never needs
-    to be touched, so keeping the smaller id preserves the answer (and even
-    shortest sequences).  Deleting a vertex v with a closed twin u makes no
-    new twin pair and breaks none: were N[w1] and N[w2] equal but for v, the
-    one of them not adjacent to v would contain u (or be u), and so be
-    adjacent to v after all.  The twin groups are therefore built in one scan;
-    each keeps its smallest member, and groups are emptied in order of that
-    member, the order of rescanning after every deletion.  Any other deletion
-    can make new twins only of a neighbor w1 of the deleted vertex, whose
-    closed neighborhood changed, with some w2 whose closed neighborhood now
-    equals it; so after one, the kernels look only at their groups.
-    """
-    _require_isr(inst)
-    ws = Workspace(inst.graph, inst.anchors)
-    ws.remove_twins()
-    return ws.reduced(inst), ws.log
-
-
-def reduce_low_degree_once(
-    inst: Instance, d: int
-) -> Optional[tuple[Instance, ReductionStep]]:
-    """Try to delete one irrelevant low-degree vertex, with a sunflower certificate.
-
-    ``d`` must be at least the degeneracy of the graph (0 is allowed, for
-    edgeless graphs).  Expects closed twins outside the solution sets to have
-    been removed already, which makes the closed neighborhoods of the
-    low-degree vertices pairwise distinct.  Returns None when the count of
-    low-degree non-anchor vertices is not strictly above the threshold.
-    """
-    _require_isr(inst)
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    ws = _LowDegreeWorkspace(inst, d)
-    step = ws.low_degree_once()
-    return None if step is None else (ws.reduced(inst), step)
-
-
 def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
     """Alternate twin removal and the low-degree rule to a fixpoint.
 
@@ -378,7 +338,8 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
     with the degeneracy recomputed from the kernel if anything was deleted;
     a violation signals an implementation bug, not bad input.
     """
-    _require_isr(inst)
+    if inst.problem is not Problem.ISR:
+        raise ValueError("this reduction applies to ISR instances only")
     ws = _LowDegreeWorkspace(inst)
     ws.run(ws.low_degree_once)
     cur = ws.reduced(inst)

@@ -40,6 +40,13 @@ class Graph:
             v: frozenset(ns) for v, ns in sorted(adj.items())
         }
 
+    @classmethod
+    def _of(cls, adj: dict[int, frozenset[int]]) -> "Graph":
+        """The graph of an adjacency already checked: symmetric, loop-free, keys ascending."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        return g
+
     @property
     def n(self) -> int:
         return len(self._adj)
@@ -84,22 +91,16 @@ class Graph:
         """New graph without v; all other ids and adjacencies unchanged."""
         if v not in self._adj:
             raise KeyError(f"vertex {v} not in graph")
-        g = Graph.__new__(Graph)
-        g._adj = {
-            u: (ns - {v} if v in ns else ns)
-            for u, ns in self._adj.items()
-            if u != v
-        }
-        return g
+        return Graph._of(
+            {u: (ns - {v} if v in ns else ns) for u, ns in self._adj.items() if u != v}
+        )
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         kept = frozenset(keep)
         unknown = kept - self.vertex_set
         if unknown:
             raise KeyError(f"vertex {min(unknown)} not in graph")
-        g = Graph.__new__(Graph)
-        g._adj = {u: self._adj[u] & kept for u in sorted(kept)}
-        return g
+        return Graph._of({u: self._adj[u] & kept for u in sorted(kept)})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

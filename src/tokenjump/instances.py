@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -134,9 +135,6 @@ class ReductionLog:
 
     def append(self, step: ReductionStep) -> None:
         self.steps.append(step)
-
-    def extend(self, steps: Iterable[ReductionStep]) -> None:
-        self.steps.extend(steps)
 
     def deleted_vertices(self) -> list[int]:
         return [s.vertex for s in self.steps]
@@ -258,7 +256,11 @@ def parse_instance(data: str | bytes) -> Instance:
         raise InstanceFormatError("missing source line")
     if target is None:
         raise InstanceFormatError("missing target line")
-    graph = Graph(range(n), [(u - 1, v - 1) for u, v in edge_lines])
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edge_lines:
+        adj[u - 1].append(v - 1)
+        adj[v - 1].append(u - 1)
+    graph = Graph._of({v: frozenset(ns) for v, ns in enumerate(adj)})
     try:
         return Instance(problem, graph, k, frozenset(source), frozenset(target))
     except ValueError as exc:
@@ -363,6 +365,15 @@ def serialize_report(outcome, log: ReductionLog, kernel: Graph, *, ms: int = 0) 
     return layout_json(report)
 
 
+def _is_vertex(value) -> bool:
+    """A 1-indexed vertex id; JSON ``true`` and ``false`` are not integers here."""
+    return type(value) is int and value >= 1
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def parse_report(data: str | bytes) -> dict:
     """Parse and validate a report; returns the JSON object (file coordinates)."""
     data = _decode(data, ReportFormatError)
@@ -382,17 +393,15 @@ def parse_report(data: str | bytes) -> dict:
         if not isinstance(seq, list) or not seq:
             raise ReportFormatError("sequence must be a non-empty array of arrays")
         for entry in seq:
-            if not isinstance(entry, list) or not all(
-                isinstance(v, int) and v >= 1 for v in entry
-            ):
+            if not isinstance(entry, list) or not all(_is_vertex(v) for v in entry):
                 raise ReportFormatError("sequence entries must be arrays of 1-indexed vertices")
     kernel = report.get("kernel")
     if (
         not isinstance(kernel, dict)
-        or not isinstance(kernel.get("n"), int)
-        or not isinstance(kernel.get("m"), int)
+        or not _is_count(kernel.get("n"))
+        or not _is_count(kernel.get("m"))
         or not isinstance(kernel.get("deleted"), list)
-        or not all(isinstance(v, int) and v >= 1 for v in kernel["deleted"])
+        or not all(_is_vertex(v) for v in kernel["deleted"])
     ):
         raise ReportFormatError("kernel must be {n, m, deleted}")
     rules = report.get("rules")
@@ -402,17 +411,16 @@ def parse_report(data: str | bytes) -> dict:
         if (
             not isinstance(rule, dict)
             or rule.get("rule") not in KNOWN_RULES
-            or not isinstance(rule.get("vertex"), int)
+            or not _is_vertex(rule.get("vertex"))
             or not isinstance(rule.get("certificate"), dict)
         ):
             raise ReportFormatError("each rule must be {rule, vertex, certificate}")
     stats = report.get("stats")
     if (
         not isinstance(stats, dict)
-        or not isinstance(stats.get("states_explored"), int)
-        or stats["states_explored"] < 0
-        or not isinstance(stats.get("ms"), (int, float))
-        or stats["ms"] < 0
+        or not _is_count(stats.get("states_explored"))
+        or type(stats.get("ms")) not in (int, float)
+        or not 0 <= stats["ms"] < math.inf  # NaN fails both comparisons
     ):
         raise ReportFormatError("stats must be {states_explored, ms}")
     return report

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 from .degenerate import Workspace, _sunflower_core
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, bitset_index, set_bits
+from .graph import Graph, set_bits
 from .instances import (
     RULE_QUASIWIDE,
     Instance,
@@ -45,10 +45,7 @@ from .instances import (
 
 __all__ = [
     "QuasiWideParams",
-    "ScatteredCertificate",
     "partition_by_solution_neighborhood",
-    "find_scattered_with_deletions",
-    "reduce_quasiwide_once",
     "kernelize_quasiwide",
     "solve_isr_quasiwide",
 ]
@@ -75,14 +72,6 @@ class QuasiWideParams:
             raise ValueError("max_deletions must be >= 0")
         if self.search_budget < 1:
             raise ValueError("search_budget must be >= 1")
-
-
-@dataclass(frozen=True)
-class ScatteredCertificate:
-    """Deletion set B and a set A that is 2-scattered once B is removed."""
-
-    deleted: frozenset[int]
-    scattered: frozenset[int]
 
 
 def partition_by_solution_neighborhood(
@@ -157,15 +146,6 @@ def _conflicts(
     return robust, fragile, cover
 
 
-def _scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
-    """Whether the certificate's balls in g minus its deletion set are disjoint."""
-    _verts, pos, nbr = bitset_index(g)
-    blocked = 0
-    for v in cert.deleted:
-        blocked |= 1 << pos[v]
-    return _balls_disjoint(nbr, [pos[v] for v in cert.scattered], blocked)
-
-
 class _ScatteredWorkspace(Workspace):
     """Workspace for the scattered-set rule.
 
@@ -177,7 +157,7 @@ class _ScatteredWorkspace(Workspace):
     the rest; a ball centred two steps away only loses the deleted bit.
     """
 
-    def __init__(self, graph: Graph, anchors: frozenset[int] = frozenset()) -> None:
+    def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
         super().__init__(graph, anchors)
         pos = self.pos
         self._classes = {
@@ -329,7 +309,18 @@ class _ScatteredWorkspace(Workspace):
         return None
 
     def scattered_once(self, k: int, params: QuasiWideParams) -> Optional[ReductionStep]:
-        """One deletion by the scattered-set rule; see ``reduce_quasiwide_once``."""
+        """Try to delete one irrelevant vertex from an oversized class.
+
+        Picks the largest class above ``class_threshold`` and searches for a
+        scattered set inside it, in the rest.  A candidate deletion set B of
+        size s must come with at least 2k * 2^s scattered vertices, so that
+        by pigeonhole some cell of equal B-neighborhood keeps 2k of them; the
+        largest cell's closed neighborhoods form the certifying sunflower,
+        since the scattered balls make them meet exactly in the shared anchor
+        and B neighbors.  Expects closed twins outside the anchors to be
+        removed already.  A certificate that fails validation is an internal
+        error.
+        """
         two_k = 2 * k
         oversized = [
             (-len(vs), key, vs)
@@ -361,60 +352,14 @@ class _ScatteredWorkspace(Workspace):
         return step
 
 
-def find_scattered_with_deletions(
-    g: Graph, w: frozenset[int], target: int, params: QuasiWideParams
-) -> Optional[ScatteredCertificate]:
-    """Search for B with |B| <= max_deletions and a 2-scattered A of size >= target."""
-    if target < 1:
-        raise ValueError("target must be >= 1")
-    w = frozenset(w)
-    unknown = w - g.vertex_set
-    if unknown:
-        raise KeyError(f"vertex {min(unknown)} not in graph")
-    ws = _ScatteredWorkspace(g)
-    found = ws.search(sorted(ws.pos[v] for v in w), params, lambda _size: target)
-    if found is None:
-        return None
-    blocked, chosen = found
-    return ScatteredCertificate(
-        frozenset(ws.verts[i] for i in set_bits(blocked)),
-        frozenset(ws.verts[i] for i in chosen),
-    )
-
-
-def _check_request(inst: Instance, params: QuasiWideParams) -> None:
-    if inst.problem is not Problem.ISR:
-        raise ValueError("this reduction applies to ISR instances only")
-    if params.class_threshold < 2 * inst.k:
-        raise ValueError(f"class_threshold must be >= 2k = {2 * inst.k}")
-
-
-def reduce_quasiwide_once(
-    inst: Instance, params: QuasiWideParams
-) -> Optional[tuple[Instance, ReductionStep]]:
-    """Try to delete one irrelevant vertex from an oversized class.
-
-    Picks the largest class above ``class_threshold`` and searches for a
-    scattered set inside it, in the graph without the solution vertices.  A
-    candidate deletion set B of size s must come with at least 2k * 2^s
-    scattered vertices, so that some subclass of equal B-neighborhood keeps
-    2k of them; their closed neighborhoods form the certifying sunflower.
-    Expects closed twins outside the solution sets to be removed already.
-    A certificate that fails validation is an internal error: by pigeonhole
-    some cell holds 2k vertices, and the scattered balls make their closed
-    neighborhoods meet exactly in the shared anchor and B neighbors.
-    """
-    _check_request(inst, params)
-    ws = _ScatteredWorkspace(inst.graph, inst.anchors)
-    step = ws.scattered_once(inst.k, params)
-    return None if step is None else (ws.reduced(inst), step)
-
-
 def kernelize_quasiwide(
     inst: Instance, params: QuasiWideParams
 ) -> tuple[Instance, ReductionLog]:
     """Alternate twin removal and the scattered-set rule to a fixpoint."""
-    _check_request(inst, params)
+    if inst.problem is not Problem.ISR:
+        raise ValueError("this reduction applies to ISR instances only")
+    if params.class_threshold < 2 * inst.k:
+        raise ValueError(f"class_threshold must be >= 2k = {2 * inst.k}")
     ws = _ScatteredWorkspace(inst.graph, inst.anchors)
     ws.run(lambda: ws.scattered_once(inst.k, params))
     return ws.reduced(inst), ws.log

@@ -28,7 +28,6 @@ from tokenjump import (
     ReductionLog,
     ReconfSequence,
     ReductionStep,
-    ScatteredCertificate,
     SearchOutcome,
     Verdict,
     bfs_reconfig,
@@ -531,6 +530,14 @@ def ball2(g: Graph, v: int, blocked) -> frozenset[int]:
     return frozenset(dist)
 
 
+@dataclass(frozen=True)
+class ScatteredCertificate:
+    """Deletion set B and a set A that is 2-scattered once B is removed."""
+
+    deleted: frozenset[int]
+    scattered: frozenset[int]
+
+
 def scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
     """Whether the radius-2 balls of the scattered set, minus B, are pairwise disjoint."""
     if cert.scattered & cert.deleted:
@@ -601,7 +608,7 @@ def reduce_to_fixpoint(inst: Instance, rule) -> tuple[Instance, ReductionLog]:
     log = ReductionLog()
     while True:
         cur, twin_log = remove_closed_twins(cur)
-        log.extend(twin_log.steps)
+        log.steps.extend(twin_log.steps)
         reduced = rule(cur)
         if reduced is None:
             return cur, log

@@ -106,6 +106,21 @@ def test_verify_flags_tampered_sequence(capsys, tmp_path, p4_file):
     assert payload["index"] == 1
 
 
+def test_verify_rejects_booleans_and_negative_sizes_with_65(capsys, tmp_path, p4_file):
+    _, out, _ = run(capsys, "solve", p4_file)
+    for corrupt in (
+        lambda r: r["sequence"][0].__setitem__(0, True),  # reads as vertex 1
+        lambda r: (r["kernel"].update(n=-5), r["stats"].update(states_explored=True)),
+    ):
+        report = json.loads(out)
+        corrupt(report)
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(report))
+        code, printed, err = run(capsys, "verify", p4_file, str(path))
+        assert code == 65 and printed == ""
+        assert err.startswith("tokenjump: error: ")
+
+
 def test_verify_without_sequence_is_vacuous(capsys, tmp_path):
     path = tmp_path / "c4.isr"
     path.write_text(C4_TEXT)

@@ -14,12 +14,11 @@ from tokenjump import (
     kernelize_degenerate,
     low_degree_threshold,
     parse_instance,
-    reduce_low_degree_once,
-    remove_closed_twins,
     replay_reductions,
     solve_isr_degenerate,
     verify_sequence,
 )
+from tokenjump.degenerate import Workspace, _LowDegreeWorkspace
 
 import reference
 
@@ -39,6 +38,29 @@ def isolated_instance(total, k=2):
     )
 
 
+def paths_instance(low, k=2):
+    """2k isolated anchors, then ``low`` vertices on paths of three vertices
+    (the last path shorter when 3 does not divide ``low``; keep it off two
+    vertices, which would be closed twins).  d = 1."""
+    edges = [(v, v + 1) for v in range(2 * k, 2 * k + low - 1) if (v - 2 * k) % 3 != 2]
+    g = Graph(range(2 * k + low), edges)
+    return Instance(Problem.ISR, g, k, frozenset(range(k)), frozenset(range(k, 2 * k)))
+
+
+def remove_twins(inst):
+    """Twin removal as both kernels run it first, on a fresh workspace."""
+    ws = Workspace(inst.graph, inst.anchors)
+    ws.remove_twins()
+    return ws.reduced(inst), ws.log
+
+
+def low_degree_once(inst):
+    """One low-degree deletion at the degeneracy the workspace maintains."""
+    ws = _LowDegreeWorkspace(inst)
+    step = ws.low_degree_once()
+    return ws.d, None if step is None else (ws.reduced(inst), step)
+
+
 def test_threshold_formulas():
     assert low_degree_threshold(1, 2) == 162
     assert kernel_vertex_bound(1, 2) == 490
@@ -47,7 +69,7 @@ def test_threshold_formulas():
 def test_twin_removal_in_triangle():
     g = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
     inst = Instance(Problem.ISR, g, 1, frozenset({0}), frozenset({0}))
-    reduced, log = remove_closed_twins(inst)
+    reduced, log = remove_twins(inst)
     assert reduced.graph.n == 2
     assert len(log) == 1
     step = log.steps[0]
@@ -60,13 +82,13 @@ def test_twin_removal_adjacent_pair_with_shared_neighbors():
     # 0 and 1 adjacent, both adjacent to 2 and 3: N[0] = N[1]
     g = Graph(range(5), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4)])
     inst = Instance(Problem.ISR, g, 1, frozenset({4}), frozenset({3}))
-    reduced, log = remove_closed_twins(inst)
+    reduced, log = remove_twins(inst)
     assert [s.vertex for s in log.steps] == [1]
     assert reduced.graph.vertex_set == {0, 2, 3, 4}
 
 
 def test_twin_removal_leaves_p4_alone():
-    reduced, log = remove_closed_twins(P4)
+    reduced, log = remove_twins(P4)
     assert len(log) == 0 and reduced.graph == P4.graph
 
 
@@ -85,13 +107,13 @@ def small_instances(draw):
 @settings(deadline=None, max_examples=200)
 @given(small_instances())
 def test_twin_removal_matches_rescan_reference(inst):
-    assert remove_closed_twins(inst) == reference.remove_closed_twins(inst)
+    assert remove_twins(inst) == reference.remove_closed_twins(inst)
 
 
 def test_twin_removal_matches_rescan_reference_on_corpora():
     insts = [inst for inst, _ in reference.isr_corpus()] + reference.sparse_corpus()
     for inst in insts:
-        assert remove_closed_twins(inst) == reference.remove_closed_twins(inst)
+        assert remove_twins(inst) == reference.remove_closed_twins(inst)
 
 
 def test_kernel_logs_match_stored_run():
@@ -104,8 +126,8 @@ def test_kernel_logs_match_stored_run():
 
 def test_low_degree_rule_fires_above_threshold():
     inst = isolated_instance(200)
-    result = reduce_low_degree_once(inst, 1)
-    assert result is not None
+    d, result = low_degree_once(inst)
+    assert d == 0 and result is not None
     reduced, step = result
     assert step.rule == "sunflower-degenerate"
     assert step.vertex == 4  # smallest non-anchor vertex
@@ -115,13 +137,24 @@ def test_low_degree_rule_fires_above_threshold():
 
 
 def test_low_degree_rule_needs_strict_inequality():
-    inst = isolated_instance(162 + 4)  # exactly 162 non-anchor vertices
-    assert reduce_low_degree_once(inst, 1) is None
+    # edgeless: d = 0 and the threshold is 3 non-anchor vertices
+    assert low_degree_threshold(0, 2) == 3
+    assert low_degree_once(isolated_instance(3 + 4)) == (0, None)
+    d, result = low_degree_once(isolated_instance(4 + 4))
+    assert d == 0 and result is not None and result[1].vertex == 4
+    # a forest of paths: d = 1 and the threshold is 162
+    assert low_degree_once(paths_instance(162)) == (1, None)
+    assert kernelize_degenerate(paths_instance(162)).log.steps == []
+    d, result = low_degree_once(paths_instance(163))
+    assert d == 1 and result is not None
+    reduced, step = result
+    assert step.rule == "sunflower-degenerate" and step.vertex == 4
+    assert reduced.graph.n == 166
 
 
 def test_low_degree_rule_with_empty_low_set():
-    # all non-anchor vertices of P4 would need degree > 2; anchor everything
-    assert reduce_low_degree_once(P4, 1) is None
+    # every vertex of P4 is an anchor, so no vertex is low-degree
+    assert low_degree_once(P4) == (1, None)
 
 
 def test_kernelize_is_identity_below_thresholds():
@@ -194,6 +227,6 @@ def test_twin_plus_sunflower_interleaving_is_audited():
 def test_non_isr_instances_are_rejected():
     dsr = parse_instance("p dsr 3 2 1\ne 1 2\ne 2 3\ns 2\nt 2\n")
     with pytest.raises(ValueError):
-        remove_closed_twins(dsr)
-    with pytest.raises(ValueError):
         kernelize_degenerate(dsr)
+    with pytest.raises(ValueError):
+        solve_isr_degenerate(dsr)

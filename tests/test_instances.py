@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
     Graph,
@@ -59,6 +59,20 @@ def test_parse_dsr_example():
 def test_parse_accepts_comments_and_bytes():
     text = "# comment\nc another\n" + P4_TEXT
     assert parse_instance(text.encode()) == parse_instance(P4_TEXT)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_parsed_graph_equals_the_graph_of_its_edges(data):
+    n = data.draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"e {u + 1} {v + 1}\n" for u, v in edges]
+    text = f"p isr {n} {len(edges)} 1\n" + "".join(lines) + "s 1\nt 1\n"
+    graph = parse_instance(text).graph
+    expected = Graph(range(n), edges)
+    assert graph == expected
+    assert list(graph.edges()) == list(expected.edges())
 
 
 @pytest.mark.parametrize(
@@ -244,6 +258,16 @@ def test_serialize_report_no_and_unknown():
         lambda r: r.pop("stats"),
         lambda r: r.update(rules=[{"rule": "bogus", "vertex": 1, "certificate": {}}]),
         lambda r: r.update(sequence="nope"),
+        # JSON booleans are not vertex ids or counts, and sizes are not negative
+        lambda r: r["sequence"][0].__setitem__(0, True),
+        lambda r: r["kernel"].update(deleted=[True]),
+        lambda r: r.update(rules=[{"rule": "twin", "vertex": True, "certificate": {}}]),
+        lambda r: r["kernel"].update(n=True),
+        lambda r: r["kernel"].update(n=-5),
+        lambda r: r["kernel"].update(m=-1),
+        lambda r: r["stats"].update(states_explored=True),
+        lambda r: r["stats"].update(ms=False),
+        lambda r: r["stats"].update(ms=float("nan")),
     ],
 )
 def test_parse_report_rejects_corruption(corrupt):

@@ -10,22 +10,21 @@ from tokenjump import (
     Instance,
     Problem,
     QuasiWideParams,
-    ScatteredCertificate,
     Verdict,
     bfs_reconfig,
-    find_scattered_with_deletions,
     gen_random_degenerate,
     kernelize_quasiwide,
     parse_instance,
     partition_by_solution_neighborhood,
-    reduce_quasiwide_once,
     solve_isr_quasiwide,
     verify_sequence,
 )
 from tokenjump import cli, degenerate, quasiwide
-from tokenjump.quasiwide import _ScatteredWorkspace, _scattered_valid
+from tokenjump.graph import bitset_index, set_bits
+from tokenjump.quasiwide import _ScatteredWorkspace, _balls_disjoint
 
 import reference
+from reference import ScatteredCertificate
 
 P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
 
@@ -35,6 +34,28 @@ P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
 # that rebuilt every ball for every deletion set and swept the whole pool at
 # B = {}, and the pairwise checks, each log cut by reference.two_k_petals.
 KERNEL_LOGS_DIGEST = "d331be10a083ef5a2e0b40a2c184a21d668884952e22dbca040aee9a1594f717"
+
+
+def scattered_certificate(g, pool, target, params):
+    """The search's deletion set B and scattered set A in g, with no anchors,
+    for at least ``target`` vertices of ``pool`` at every size of B."""
+    ws = _ScatteredWorkspace(g, frozenset())
+    found = ws.search(sorted(ws.pos[v] for v in pool), params, lambda _size: target)
+    if found is None:
+        return None
+    blocked, chosen = found
+    return ScatteredCertificate(
+        frozenset(ws.verts[i] for i in set_bits(blocked)),
+        frozenset(ws.verts[i] for i in chosen),
+    )
+
+
+def scattered_once(inst, params):
+    """One scattered-set deletion on a fresh workspace: the reduced instance
+    and its step, or None."""
+    ws = _ScatteredWorkspace(inst.graph, inst.anchors)
+    step = ws.scattered_once(inst.k, params)
+    return None if step is None else (ws.reduced(inst), step)
 
 
 def star(leaves):
@@ -76,7 +97,7 @@ def test_partition_class_count_bound():
 
 def test_scattered_isolated_vertices():
     g = Graph(range(10))
-    cert = find_scattered_with_deletions(
+    cert = scattered_certificate(
         g, g.vertex_set, 5, QuasiWideParams(max_deletions=0)
     )
     assert cert is not None
@@ -87,9 +108,9 @@ def test_scattered_isolated_vertices():
 def test_scattered_star_needs_center_deleted():
     g = star(10)
     leaves = frozenset(range(1, 11))
-    none = find_scattered_with_deletions(g, leaves, 3, QuasiWideParams(max_deletions=0))
+    none = scattered_certificate(g, leaves, 3, QuasiWideParams(max_deletions=0))
     assert none is None
-    cert = find_scattered_with_deletions(g, leaves, 3, QuasiWideParams(max_deletions=1))
+    cert = scattered_certificate(g, leaves, 3, QuasiWideParams(max_deletions=1))
     assert cert is not None
     assert cert.deleted == frozenset({0})
     assert len(cert.scattered) >= 3 and cert.scattered <= leaves
@@ -97,7 +118,7 @@ def test_scattered_star_needs_center_deleted():
 
 def test_scattered_clique_is_hopeless():
     g = Graph(range(6), itertools.combinations(range(6), 2))
-    cert = find_scattered_with_deletions(
+    cert = scattered_certificate(
         g, g.vertex_set, 2, QuasiWideParams(max_deletions=1)
     )
     assert cert is None
@@ -105,7 +126,7 @@ def test_scattered_clique_is_hopeless():
 
 def test_empty_deletion_certificates_give_empty_core_sunflowers():
     g = Graph(range(12), [(i, i + 1) for i in range(11)])
-    cert = find_scattered_with_deletions(
+    cert = scattered_certificate(
         g, g.vertex_set, 3, QuasiWideParams(max_deletions=0)
     )
     assert cert is not None and cert.deleted == frozenset()
@@ -120,7 +141,7 @@ def test_reduce_fires_on_isolated_class():
     g = Graph(range(50))
     inst = Instance(Problem.ISR, g, 2, frozenset({0, 1}), frozenset({2, 3}))
     params = QuasiWideParams(class_threshold=20, max_deletions=0)
-    result = reduce_quasiwide_once(inst, params)
+    result = scattered_once(inst, params)
     assert result is not None
     reduced, step = result
     assert step.rule == "quasi-wide"
@@ -140,7 +161,7 @@ def test_failed_sunflower_validation_is_an_internal_error(monkeypatch, tmp_path,
     inst = Instance(Problem.ISR, Graph(range(50)), 2, frozenset({0, 1}), frozenset({2, 3}))
     params = QuasiWideParams(class_threshold=20, max_deletions=0)
     with pytest.raises(RuntimeError, match="failed validation"):
-        reduce_quasiwide_once(inst, params)
+        kernelize_quasiwide(inst, params)
     path = tmp_path / "isolated.isr"
     path.write_text("p isr 50 0 2\ns 1 2\nt 3 4\n")
     argv = ["solve", str(path), "--strategy", "quasiwide", "--class-threshold", "20"]
@@ -221,7 +242,7 @@ def test_reduce_absent_when_classes_are_small():
     inst = Instance(
         Problem.ISR, Graph(range(10)), 2, frozenset({0, 1}), frozenset({2, 3})
     )
-    assert reduce_quasiwide_once(inst, QuasiWideParams(class_threshold=32)) is None
+    assert scattered_once(inst, QuasiWideParams(class_threshold=32)) is None
 
 
 def test_reduce_respects_search_budget():
@@ -231,9 +252,9 @@ def test_reduce_respects_search_budget():
     target = frozenset(leaves[2:4])
     inst = Instance(Problem.ISR, g, 2, source, target)
     starved = QuasiWideParams(class_threshold=8, max_deletions=1, search_budget=1)
-    assert reduce_quasiwide_once(inst, starved) is None
+    assert scattered_once(inst, starved) is None
     fed = QuasiWideParams(class_threshold=8, max_deletions=1, search_budget=100)
-    result = reduce_quasiwide_once(inst, fed)
+    result = scattered_once(inst, fed)
     assert result is not None
     _, step = result
     assert step.certificate["deletions"] == [0]
@@ -245,7 +266,7 @@ def test_reduce_requires_threshold_at_least_2k():
         Problem.ISR, Graph(range(30)), 3, frozenset({0, 1, 2}), frozenset({3, 4, 5})
     )
     with pytest.raises(ValueError, match="class_threshold"):
-        reduce_quasiwide_once(inst, QuasiWideParams(class_threshold=5))
+        kernelize_quasiwide(inst, QuasiWideParams(class_threshold=5))
 
 
 def test_solve_isolated_matches_oracle():
@@ -309,7 +330,10 @@ def test_scattered_check_matches_pairwise_reference(data):
         data.draw(st.frozensets(st.integers(0, n - 1), max_size=3)),
         data.draw(st.frozensets(st.integers(0, n - 1), max_size=5)),
     )
-    assert _scattered_valid(g, cert) == reference.scattered_valid(g, cert)
+    _verts, pos, nbr = bitset_index(g)
+    blocked = sum(1 << pos[v] for v in cert.deleted)
+    ours = _balls_disjoint(nbr, [pos[v] for v in cert.scattered], blocked)
+    assert ours == reference.scattered_valid(g, cert)
 
 
 def test_found_certificates_pass_pairwise_reference():
@@ -317,7 +341,7 @@ def test_found_certificates_pass_pairwise_reference():
     for inst in reference.sparse_corpus():
         rest = inst.graph.induced_subgraph(inst.graph.vertex_set - inst.anchors)
         for target in (2, 4, 8):
-            cert = find_scattered_with_deletions(
+            cert = scattered_certificate(
                 rest, rest.vertex_set, target, QuasiWideParams(search_budget=200)
             )
             if cert is not None:
@@ -350,7 +374,7 @@ def test_scattered_search_matches_reference_on_hub_graphs():
         params = QuasiWideParams(
             max_deletions=rng.randint(0, 3), search_budget=int(4000 ** rng.random() ** 0.5)
         )
-        ours = find_scattered_with_deletions(g, frozenset(pool), target, params)
+        ours = scattered_certificate(g, frozenset(pool), target, params)
         ref = reference.search_scattered(g, sorted(pool), params, lambda _s: target)
         assert ours == reference.scattered_prefix(ref, target)
         if ours is None or not ours.deleted:
@@ -361,7 +385,7 @@ def test_scattered_search_matches_reference_on_hub_graphs():
         partway += rank > 0
         budget = smaller + rank  # stops just short of the certificate's B
         starved = QuasiWideParams(max_deletions=params.max_deletions, search_budget=budget)
-        assert find_scattered_with_deletions(g, frozenset(pool), target, starved) is None
+        assert scattered_certificate(g, frozenset(pool), target, starved) is None
         assert reference.search_scattered(g, sorted(pool), starved, lambda _s: target) is None
     assert min(levels) > 0 and partway > 0, (levels, partway)
 
@@ -388,7 +412,7 @@ def test_scattered_search_matches_reference_once_the_pool_is_compared(monkeypatc
             max_deletions=rng.randint(0, 3), search_budget=int(4000 ** rng.random() ** 0.5)
         )
         compared.clear()
-        ours = find_scattered_with_deletions(g, frozenset(pool), target, params)
+        ours = scattered_certificate(g, frozenset(pool), target, params)
         ref = reference.search_scattered(g, sorted(pool), params, lambda _s: target)
         assert ours == reference.scattered_prefix(ref, target)
         found_after += bool(compared) and ours is not None
@@ -399,7 +423,7 @@ def test_scattered_balls_meeting_in_max_deletions_vertices_are_separable():
     # a - x1, x2 - m - y1, y2 - b: the balls of a and b meet in m alone
     g = Graph(range(7), [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)])
     params = QuasiWideParams(max_deletions=1)
-    cert = find_scattered_with_deletions(g, frozenset({0, 6}), 2, params)
+    cert = scattered_certificate(g, frozenset({0, 6}), 2, params)
     assert cert == ScatteredCertificate(frozenset({3}), frozenset({0, 6}))
     assert cert == reference.search_scattered(g, [0, 6], params, lambda _s: 2)
 
@@ -413,7 +437,7 @@ def test_scattered_search_stops_at_the_last_nonempty_level():
         return 2
 
     params = QuasiWideParams(max_deletions=10**6)
-    assert _ScatteredWorkspace(g).search(list(range(6)), params, required) is None
+    assert _ScatteredWorkspace(g, frozenset()).search(list(range(6)), params, required) is None
     assert sizes == list(range(7))
 
 
