@@ -23,14 +23,19 @@ Once the failed sweeps past B = {} have cost about as much as comparing the
 pool's balls pairwise, the search compares them, and from then on rules a
 deletion set out without sweeping the pool when a clique cover of the pairs
 that no B can separate, plus the pool vertices next to B, falls short of the
-number required; it finds the same B and A as sweeping every deletion set.
+number required.  It skips whole runs of deletion sets sharing a prefix the
+same way, bounding the pool vertices next to the members still to come by
+their largest pool-neighbour counts, and every pick strikes the later
+candidates the sweep would reject.  It finds the same B and A, and runs out
+of budget at the same B, as sweeping every deletion set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from math import comb
+from typing import Callable, Iterator, Optional
 
 from .degenerate import Workspace, _sunflower_core
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
@@ -111,6 +116,13 @@ def _balls_disjoint(nbr: list[int], chosen: list[int], blocked: int) -> bool:
     return True
 
 
+def _checked(nbr: list[int], chosen: list[int], blocked: int) -> list[int]:
+    """The chosen bits, once ``_balls_disjoint`` confirms them; else an internal error."""
+    if not _balls_disjoint(nbr, chosen, blocked):
+        raise RuntimeError("scattered set failed validation")
+    return chosen
+
+
 def _conflicts(
     pool: list[int], pool_mask: int, balls: dict[int, int], top: int
 ) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]], int]:
@@ -118,7 +130,10 @@ def _conflicts(
 
     Returns each vertex's mask of robust conflicts (meets larger than
     ``top``, both directions), its later fragile partners with their meets,
-    and the size of a greedy clique cover of the robust conflicts.
+    and the size of a greedy clique cover of the robust conflicts.  The
+    cover seeds its cliques, and grows them, in order of ascending robust
+    degree (ties by position): a vertex with few conflicts is covered early
+    by a small clique instead of splitting a large one later.
     """
     robust = dict.fromkeys(pool, 0)
     fragile: dict[int, list[tuple[int, int]]] = {i: [] for i in pool}
@@ -131,19 +146,71 @@ def _conflicts(
                 robust[j] |= 1 << i
             elif meet:
                 fragile[i].append((j, meet))
+    order = sorted(pool, key=lambda i: (robust[i].bit_count(), i))
     cover = 0
     uncovered = pool_mask
-    while uncovered:
-        low = uncovered & -uncovered
-        clique = low
-        common = robust[low.bit_length() - 1] & uncovered
-        while common:
-            low = common & -common
-            clique |= low
-            common &= robust[low.bit_length() - 1]
-        uncovered &= ~clique
+    for a, i in enumerate(order):
+        if not uncovered >> i & 1:
+            continue
+        uncovered ^= 1 << i
+        common = robust[i] & uncovered
+        for j in order[a + 1 :]:
+            if not common:
+                break
+            if common >> j & 1:
+                uncovered ^= 1 << j
+                common &= robust[j]
         cover += 1
     return robust, fragile, cover
+
+
+def _largest_sums(counts: list[int], top: int) -> list[tuple[int, ...]]:
+    """For each start s, the sums of the 0, 1, ..., ``top`` largest of counts[s:]."""
+    sums = [(0,)] * (len(counts) + 1)
+    largest: list[int] = []
+    for s in range(len(counts) - 1, -1, -1):
+        largest = sorted(largest + [counts[s]], reverse=True)[:top]
+        sums[s] = tuple(itertools.accumulate(largest, initial=0))
+    return sums
+
+
+def _deletion_sets(
+    nbr: list[int],
+    ranked: list[int],
+    size: int,
+    hopeless: Callable[[int, int, int, int], bool],
+) -> Iterator[tuple[int, Optional[int], int]]:
+    """The ``size``-sets of ``ranked`` in lexicographic order, with runs cut.
+
+    Yields ``(1, blocked, near)`` for each set looked at, with its bit mask
+    and the union of its members' neighbor masks, and ``(count, None, 0)``
+    for each run of ``count`` consecutive sets skipped unseen.  A run is the
+    sets that extend a prefix, given by its ``blocked`` and ``near`` masks,
+    with ``more`` members from ``ranked[start:]``; it is skipped when
+    ``hopeless(blocked, near, more, start)``.
+    """
+    n = len(ranked)
+    stack: list[tuple[int, int, int]] = []
+    t = blocked = near = 0
+    while True:
+        more = size - len(stack)  # members still to add, from ranked[t:]
+        if t + more <= n and hopeless(blocked, near, more, t):
+            yield comb(n - t, more), None, 0
+            t = n
+        if t + more > n:
+            if not stack:
+                return
+            t, blocked, near = stack.pop()
+            t += 1
+            continue
+        v = ranked[t]
+        if more > 1:
+            stack.append((t, blocked, near))
+            blocked |= 1 << v
+            near |= nbr[v]
+        else:
+            yield 1, blocked | 1 << v, near | nbr[v]
+        t += 1
 
 
 class _ScatteredWorkspace(Workspace):
@@ -199,13 +266,16 @@ class _ScatteredWorkspace(Workspace):
         positions) picks vertices whose radius-2 balls in the rest minus B are
         pairwise disjoint; the candidate succeeds when at least
         ``required(|B|)`` are found, and a sweep stops once that is out of
-        reach.  Every B tried costs one unit of ``search_budget``, and sizes
-        stop at the number of rest vertices.  The B = {} sweep also stops
-        once it has ``required(0)`` vertices, all of one cell, so its petals
-        are the first 2k the whole sweep would find; past B = {} the cell
-        that supplies the petals depends on the whole sweep, which runs to
-        the end.  The balls of a success are recomputed from the adjacency
-        masks before B's mask and the chosen positions are returned.
+        reach.  The sets of each size come in lexicographic order over the
+        rest vertices ranked by degree.  Every B tried or skipped costs one
+        unit of ``search_budget``, and sizes stop at the number of rest
+        vertices.  The B = {} sweep also stops once it has ``required(0)``
+        vertices, all of one cell, so its petals are the first 2k the whole
+        sweep would find; past B = {} the cell that supplies the petals
+        depends on the whole sweep, which runs to the end.  The balls of a
+        success are recomputed from the adjacency masks before B's mask and
+        the chosen positions are returned; a disagreement is an internal
+        error.
 
         A pool vertex with no neighbor in B ("tame") has its cached ball minus
         B; only the "wild" ones, with a neighbor in B, need their ball
@@ -216,10 +286,14 @@ class _ScatteredWorkspace(Workspace):
         whose balls share more than ``max_deletions`` vertices always
         conflict, so at most one tame vertex of each clique of a clique cover
         of these robust conflicts can be picked: from then on, B is skipped,
-        unswept, when the cover plus the wild vertices falls short.  Choosing
-        a tame vertex strikes the later tame ones its ball meets outside B,
-        which the sweep would reject.  Neither changes what the sweep picks
-        for any B.
+        unswept, when the cover plus the wild vertices falls short, and so is
+        every set extending a prefix when the cover, the prefix's wild
+        vertices and the most pool neighbors its remaining members could add
+        fall short.  Each pick strikes the later tame candidates its ball
+        meets outside B, which the sweep would reject: a tame pick through
+        the pairwise meets, a wild one through an index of the pool balls
+        that hold each rest vertex.  None of this changes what the sweep
+        picks for any B, or at which B the budget runs out.
         """
         nbr, anchors, balls = self.nbr, self.anchor_mask, self._balls
         need = required(0)
@@ -239,8 +313,8 @@ class _ScatteredWorkspace(Workspace):
             if len(chosen) == need:
                 break
             used |= ball
-        if len(chosen) >= need and _balls_disjoint(nbr, chosen, anchors):
-            return 0, chosen
+        if len(chosen) >= need:
+            return 0, _checked(nbr, chosen, anchors)
         rest = self.alive & ~anchors
         top = min(params.max_deletions, rest.bit_count())
         if top == 0:
@@ -250,26 +324,33 @@ class _ScatteredWorkspace(Workspace):
             pool_mask |= 1 << i
         ranked = sorted(set_bits(rest), key=lambda i: (-(nbr[i] & rest).bit_count(), i))
         wild_balls: dict[tuple[int, int], int] = {}
-        # until the pool is compared: no strikes, and a cover of singletons
+        # until the pool is compared: no strikes or skipped runs, and a cover of singletons
         robust: dict[int, int] = {}
         fragile: dict[int, list[tuple[int, int]]] = {}
+        holders: list[int] = []
+        most: list[tuple[int, ...]] = []
         cover = len(pool)
+
+        def hopeless(blocked: int, near: int, more: int, start: int) -> bool:
+            if not most:
+                return False
+            return cover + (pool_mask & ~blocked & near).bit_count() + most[start][more] < need
+
         misses = 0
         budget = params.search_budget - 1
         for size in range(1, top + 1):
             need = required(size)
-            for combo in itertools.combinations(ranked, size):
-                if budget <= 0:
+            for run, blocked, near in _deletion_sets(nbr, ranked, size, hopeless):
+                if budget < run:
                     return None
-                budget -= 1
-                blocked = near = 0
-                for i in combo:
-                    blocked |= 1 << i
-                    near |= nbr[i]
+                budget -= run
+                if blocked is None:
+                    continue
                 candidates = pool_mask & ~blocked
                 wild = candidates & near
                 if cover + wild.bit_count() < need:
                     continue
+                tame = candidates ^ wild
                 used = 0
                 chosen = []
                 left = candidates.bit_count()
@@ -287,6 +368,13 @@ class _ScatteredWorkspace(Workspace):
                         ball &= ~blocked
                         if used & ball:
                             continue
+                        strike = 0
+                        if holders:
+                            bits = ball
+                            while bits:
+                                low = bits & -bits
+                                strike |= holders[low.bit_length() - 1]
+                                bits ^= low
                     else:
                         ball = (balls.get(i) or self._ball(i)) & ~blocked
                         if used & ball:
@@ -295,17 +383,23 @@ class _ScatteredWorkspace(Workspace):
                         for j, meet in fragile.get(i, ()):
                             if meet & ~blocked:
                                 strike |= 1 << j
-                        if strike & candidates & ~wild:
-                            candidates &= ~strike | wild
-                            left = (candidates >> i + 1).bit_count()
+                    if strike & tame:
+                        tame &= ~strike
+                        candidates = tame | wild
+                        left = (candidates >> i + 1).bit_count()
                     chosen.append(i)
                     used |= ball
-                if len(chosen) >= need and _balls_disjoint(nbr, chosen, blocked | anchors):
-                    return blocked, chosen
+                if len(chosen) >= need:
+                    return blocked, _checked(nbr, chosen, blocked | anchors)
                 misses += 1
                 if misses == (len(pool) + 1) // 2:
                     pool_balls = {i: self._ball(i) for i in pool}
                     robust, fragile, cover = _conflicts(pool, pool_mask, pool_balls, top)
+                    holders = [0] * len(nbr)
+                    for i, ball in pool_balls.items():
+                        for v in set_bits(ball):
+                            holders[v] |= 1 << i
+                    most = _largest_sums([(nbr[v] & pool_mask).bit_count() for v in ranked], top)
         return None
 
     def scattered_once(self, k: int, params: QuasiWideParams) -> Optional[ReductionStep]:

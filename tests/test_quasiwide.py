@@ -16,6 +16,8 @@ from tokenjump import (
     kernelize_quasiwide,
     parse_instance,
     partition_by_solution_neighborhood,
+    plant_isr_instance,
+    serialize_instance,
     solve_isr_quasiwide,
     verify_sequence,
 )
@@ -170,6 +172,26 @@ def test_failed_sunflower_validation_is_an_internal_error(monkeypatch, tmp_path,
     assert out.out == ""
     assert out.err == (
         "tokenjump: internal error: RuntimeError: sunflower failed validation\n"
+    )
+
+
+def test_a_sweep_the_masks_reject_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # the path 0-1-2-3-4: the balls of 0 and 4 meet in 2, but a stale
+    # cached ball of 4 leaves 2 out, so the B = {} sweep picks both
+    g = Graph(range(5), [(i, i + 1) for i in range(4)])
+    ws = _ScatteredWorkspace(g, frozenset())
+    ws._balls[4] = 0b11000
+    with pytest.raises(RuntimeError, match="^scattered set failed validation$"):
+        ws.search([0, 4], QuasiWideParams(max_deletions=1), lambda _size: 2)
+    monkeypatch.setattr(quasiwide, "_balls_disjoint", lambda *args: False)
+    path = tmp_path / "isolated.isr"
+    path.write_text("p isr 50 0 2\ns 1 2\nt 3 4\n")
+    argv = ["solve", str(path), "--strategy", "quasiwide", "--class-threshold", "20"]
+    assert cli.main(argv) == 70
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "tokenjump: internal error: RuntimeError: scattered set failed validation\n"
     )
 
 
@@ -439,6 +461,94 @@ def test_scattered_search_stops_at_the_last_nonempty_level():
     params = QuasiWideParams(max_deletions=10**6)
     assert _ScatteredWorkspace(g, frozenset()).search(list(range(6)), params, required) is None
     assert sizes == list(range(7))
+
+
+def recorded_deletion_sets(monkeypatch):
+    """The items ``quasiwide._deletion_sets`` yields from now on, as (size, run, looked)."""
+    items = []
+    deletion_sets = quasiwide._deletion_sets
+
+    def recorded(nbr, ranked, size, hopeless):
+        for run, blocked, near in deletion_sets(nbr, ranked, size, hopeless):
+            items.append((size, run, blocked is not None))
+            yield run, blocked, near
+
+    monkeypatch.setattr(quasiwide, "_deletion_sets", recorded)
+    return items
+
+
+def test_a_search_in_vain_looks_at_few_deletion_sets_one_at_a_time(monkeypatch):
+    """The CI instance ``gen --n 66 --d 3 --k 2 --seed 1``, whose search finds
+    nothing: sweeping every deletion set of size <= 2 looked at 1,953 of them
+    one at a time, and with size 3 allowed, all 9,999 the budget affords."""
+    inst = parse_instance(serialize_instance(plant_isr_instance(gen_random_degenerate(66, 3, 1), 2, 1)))
+    rest = inst.graph.n - len(inst.anchors)
+    items = recorded_deletion_sets(monkeypatch)
+    for deletions, tried in ((2, rest + comb(rest, 2)), (3, 9_999)):
+        items.clear()
+        kernel, log = kernelize_quasiwide(inst, QuasiWideParams(max_deletions=deletions))
+        assert len(log) == 0 and kernel.graph.n == inst.graph.n
+        looked = sum(seen for _size, _run, seen in items)
+        assert 0 < looked <= 300, (deletions, looked)
+        assert sum(run for _size, run, _seen in items) >= tried
+
+
+def test_a_wild_pick_strikes_no_candidate_it_meets_only_inside_b():
+    """The path 5-0-1-6-2-4-3.  At B = {0, 2}, the first pick 1 is wild; its
+    ball, computed with 0 blocked, reaches 2 through 6, and so does the ball
+    of the later tame candidate 3 through 4.  They meet only inside B, so 3
+    stays a candidate and is picked."""
+    g = Graph(range(7), [(5, 0), (0, 1), (1, 6), (6, 2), (2, 4), (4, 3)])
+    params = QuasiWideParams(max_deletions=2)
+    cert = scattered_certificate(g, frozenset(range(1, 7)), 3, params)
+    assert cert == ScatteredCertificate(frozenset({0, 2}), frozenset({1, 3, 5}))
+    assert cert == reference.search_scattered(g, list(range(1, 7)), params, lambda _s: 3)
+
+
+def test_a_wild_pick_strikes_the_tame_candidates_it_meets_outside_b(monkeypatch):
+    """The triangle 0-1-3, with 2 joined to 0, 1 and the pendant 4.  B = {0}
+    and B = {1} fail, and the pool is compared.  At B = {2}, the first pick 0
+    is wild, its ball {0, 1, 3} strikes the tame 3, but not the wild 4,
+    whose cached ball meets it too: 4's ball once 2 is gone is {4}."""
+    compared = []
+    conflicts = quasiwide._conflicts
+    monkeypatch.setattr(quasiwide, "_conflicts", lambda *args: compared.append(1) or conflicts(*args))
+    g = Graph(range(5), [(0, 1), (0, 3), (1, 3), (0, 2), (1, 2), (2, 4)])
+    params = QuasiWideParams(max_deletions=2)
+    cert = scattered_certificate(g, frozenset({0, 1, 3, 4}), 2, params)
+    assert compared
+    assert cert == ScatteredCertificate(frozenset({2}), frozenset({0, 4}))
+    assert cert == reference.search_scattered(g, [0, 1, 3, 4], params, lambda _s: 2)
+
+
+@pytest.mark.parametrize("where", ["inside a run", "at the end of a level"])
+def test_budget_runs_out_in_a_skipped_run_as_it_did_set_by_set(monkeypatch, where):
+    """A d = 3 graph on 12 vertices that needs 4 << |B| scattered vertices:
+    the rest of size 1 after the comparison is one skipped run, and size 2
+    has runs in the middle.  A budget that ends inside a run, or exactly with
+    the last run of size 1, gives None after asking ``required`` for the same
+    sizes as the reference, which tries every set one at a time."""
+    g = gen_random_degenerate(12, 3, 0)
+    params = QuasiWideParams(max_deletions=2)
+    items = recorded_deletion_sets(monkeypatch)
+    assert _ScatteredWorkspace(g, frozenset()).search(list(range(12)), params, lambda s: 4 << s) is None
+    spent = list(itertools.accumulate(run for _size, run, _seen in items))
+    if where == "inside a run":
+        k = next(k for k, (size, run, seen) in enumerate(items) if size == 2 and run > 2 and not seen)
+        budget = 1 + spent[k] - items[k][1] // 2
+    else:
+        k = max(k for k, (size, _run, _seen) in enumerate(items) if size == 1)
+        assert not items[k][2]
+        budget = 1 + spent[k]
+    starved = QuasiWideParams(max_deletions=2, search_budget=budget)
+    ours, theirs = [], []
+    assert _ScatteredWorkspace(g, frozenset()).search(
+        list(range(12)), starved, lambda s: ours.append(s) or 4 << s
+    ) is None
+    assert reference.search_scattered(
+        g, list(range(12)), starved, lambda s: theirs.append(s) or 4 << s
+    ) is None
+    assert ours == theirs == list(range(items[k][0] + 1 + (where != "inside a run")))
 
 
 def test_kernel_logs_match_stored_run():
