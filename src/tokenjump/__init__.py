@@ -6,7 +6,7 @@ problems, an ISR-to-DSR gadget transformation, and a CLI with a stable
 instance format.
 """
 
-from .graph import DegeneracyResult, Graph, contains_biclique, degeneracy_order
+from .graph import Graph, contains_biclique
 from .instances import (
     Instance,
     InstanceFormatError,

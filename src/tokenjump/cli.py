@@ -18,7 +18,7 @@ from .engine import (
     bfs_reconfig,
     verify_sequence,
 )
-from .graph import contains_biclique, degeneracy_order
+from .graph import bitset_index, contains_biclique, degeneracy_core
 from .hardness import isr_to_dsr
 from .instances import (
     MAX_VERTICES,
@@ -303,7 +303,7 @@ def _cmd_stats(args) -> int:
         "n": g.n,
         "m": g.m,
         "k": inst.k,
-        "degeneracy": degeneracy_order(g).d,
+        "degeneracy": degeneracy_core(bitset_index(g)[2], (1 << g.n) - 1)[0],
         "contains_biclique": bicliques,
         "class_sizes": sorted((len(vs) for vs in classes.values()), reverse=True),
     }

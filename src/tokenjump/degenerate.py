@@ -17,7 +17,6 @@ The immutable ``Graph`` of the kernel is built once, at the end.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, bitset_index, degeneracy_order, set_bits
+from .graph import Graph, bitset_index, degeneracy_core, set_bits
 from .instances import (
     RULE_SUNFLOWER,
     RULE_TWIN,
@@ -68,11 +67,11 @@ class Workspace:
     """A graph being reduced: bitsets edited in place, and the log so far.
 
     Holds the ascending vertex ids, their bit positions, the open neighbor
-    masks and the masks of live and anchor positions.  Once ``remove_twins``
-    has run, it also keeps the live non-anchor positions grouped by closed
-    neighborhood mask.
-    ``delete`` clears the deleted bit from its neighbors' masks and re-keys
-    their groups; rules that keep more state extend it.
+    masks, the masks of live and anchor positions, and the live non-anchor
+    positions grouped by closed neighborhood mask.  ``delete`` clears the
+    deleted bit from its neighbors' masks and re-keys their groups; rules
+    that keep more state extend it.  Every position starts out re-keyed, so
+    the first ``remove_twins`` reads every group.
     """
 
     def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
@@ -83,8 +82,10 @@ class Workspace:
         for v in anchors:
             self.anchor_mask |= 1 << self.pos[v]
         self.log = ReductionLog()
-        self._groups: Optional[dict[int, list[int]]] = None
-        self._rekeyed: list[int] = []
+        self._groups: dict[int, list[int]] = {}
+        self._rekeyed = list(set_bits(self.alive & ~self.anchor_mask))
+        for i in self._rekeyed:
+            self._groups.setdefault(self.nbr[i] | 1 << i, []).append(i)
 
     def delete(self, i: int, step: ReductionStep) -> int:
         """Delete position i, logging ``step``; returns i's neighbor mask."""
@@ -93,15 +94,13 @@ class Workspace:
         nb = self.nbr[i]
         self.nbr[i] = 0
         self.alive ^= bit
-        groups = self._groups
-        if groups is not None:
-            self._ungroup(i, nb | bit)
+        self._ungroup(i, nb | bit)
         for w in set_bits(nb):
             old = self.nbr[w]
             self.nbr[w] = old ^ bit
-            if groups is not None and not self.anchor_mask >> w & 1:
+            if not self.anchor_mask >> w & 1:
                 self._ungroup(w, old | 1 << w)
-                groups.setdefault(self.nbr[w] | 1 << w, []).append(w)
+                self._groups.setdefault(self.nbr[w] | 1 << w, []).append(w)
                 self._rekeyed.append(w)
         return nb
 
@@ -120,26 +119,19 @@ class Workspace:
         (and even shortest sequences).  Deleting a vertex v with a closed twin
         u makes no new twin pair and breaks none: were N[w1] and N[w2] equal
         but for v, the one of them not adjacent to v would contain u (or be
-        u), and so be adjacent to v after all.  The first call therefore
-        groups every live non-anchor position in one scan; each group keeps
-        its smallest member, and groups are emptied in order of that member,
-        the order of rescanning after every deletion.  Any other deletion can
+        u), and so be adjacent to v after all.  So each group read keeps its
+        smallest member, and groups are emptied in order of that member, the
+        order of rescanning after every deletion.  Any other deletion can
         make new twins only of a neighbor w1 of the deleted vertex, whose
         closed neighborhood changed, with some w2 whose closed neighborhood
-        now equals it; so later calls look only at the groups of positions
-        re-keyed since.
+        now equals it; so a call reads only the groups of positions re-keyed
+        since the last one, and the first call, every group.  Rules delete
+        only after the first call, as ``run`` orders them, so every re-keyed
+        position is live.
         """
-        groups = self._groups
-        if groups is None:
-            groups = self._groups = {}
-            nbr = self.nbr
-            for i in set_bits(self.alive & ~self.anchor_mask):
-                groups.setdefault(nbr[i] | 1 << i, []).append(i)
-            twins = [group[:] for group in groups.values() if len(group) > 1]
-        else:
-            nbr = self.nbr
-            keys = {nbr[w] | 1 << w for w in self._rekeyed}
-            twins = sorted(sorted(groups[key]) for key in keys if len(groups[key]) > 1)
+        groups, nbr = self._groups, self.nbr
+        keys = {nbr[w] | 1 << w for w in self._rekeyed}
+        twins = sorted(sorted(groups[key]) for key in keys if len(groups[key]) > 1)
         verts = self.verts
         for survivor, *doomed in twins:
             for v in doomed:
@@ -159,32 +151,6 @@ class Workspace:
         verts = self.verts
         live = [verts[i] for i in set_bits(self.alive)]
         return inst.with_graph(self.graph.induced_subgraph(live))
-
-
-def _degeneracy_core(nbr: list[int], alive: int) -> tuple[int, int]:
-    """Degeneracy d of the live graph and its d-core, as a mask.
-
-    Peels a vertex of least degree at a time from a heap, as
-    ``degeneracy_order`` does.  The vertices left when the peeled degree
-    first reaches its maximum d form the d-core.
-    """
-    degs = {i: nbr[i].bit_count() for i in set_bits(alive)}
-    heap = [(deg, i) for i, deg in degs.items()]
-    heapq.heapify(heap)
-    d, core, left = 0, alive, alive
-    while heap:
-        deg, i = heapq.heappop(heap)
-        if degs.get(i) != deg:
-            continue
-        del degs[i]
-        if deg > d:
-            d, core = deg, left
-        left ^= 1 << i
-        for w in set_bits(nbr[i]):
-            if w in degs:
-                degs[w] -= 1
-                heapq.heappush(heap, (degs[w], w))
-    return d, core
 
 
 def extract_sunflower(masks: Iterable[int], want: int) -> Optional[list[int]]:
@@ -252,16 +218,17 @@ class _LowDegreeWorkspace(Workspace):
     """Workspace for the low-degree rule.
 
     Maintains the degeneracy d, the d-core and the sorted list of live
-    non-anchor positions of degree at most 2d.  Deleting a core vertex
-    peels the core vertices left with fewer than d core neighbors, as in
-    Batagelj and Zaversnik's core decomposition; d never rises under
-    deletions, and it is recomputed only when the d-core empties.
+    non-anchor positions of degree at most 2d.  ``graph.degeneracy_core``
+    gives d and the d-core at set-up.  Deleting a core vertex peels the
+    core vertices left with fewer than d core neighbors, as in Batagelj and
+    Zaversnik's core decomposition; d never rises under deletions, and the
+    peeler runs again only when the d-core empties.
     """
 
     def __init__(self, inst: Instance) -> None:
         super().__init__(inst.graph, inst.anchors)
         self.k = inst.k
-        self.d, self._core = _degeneracy_core(self.nbr, self.alive)
+        self.d, self._core = degeneracy_core(self.nbr, self.alive)
         self._set_low()
 
     def _set_low(self) -> None:
@@ -293,7 +260,7 @@ class _LowDegreeWorkspace(Workspace):
                 stack.extend(set_bits(nbr[w] & core))
         self._core = core
         if not core and self.alive:
-            self.d, self._core = _degeneracy_core(nbr, self.alive)
+            self.d, self._core = degeneracy_core(nbr, self.alive)
             self._set_low()
 
     def low_degree_once(self) -> Optional[ReductionStep]:
@@ -334,16 +301,20 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
 
     The degeneracy is maintained under every deletion, so each attempt uses
     the degeneracy of the current graph and the threshold only shrinks as
-    the graph does.  The certified size bound is checked before returning,
-    with the degeneracy recomputed from the kernel if anything was deleted;
-    a violation signals an implementation bug, not bad input.
+    the graph does.  The certified size bound is checked before returning.
+    If anything was deleted, ``degeneracy_core`` peels d again from a fresh
+    bitset index of the kernel returned, so the check does not trust the
+    maintained d; a violation signals an implementation bug, not bad input.
     """
     if inst.problem is not Problem.ISR:
         raise ValueError("this reduction applies to ISR instances only")
     ws = _LowDegreeWorkspace(inst)
     ws.run(ws.low_degree_once)
     cur = ws.reduced(inst)
-    d = degeneracy_order(cur.graph).d if ws.log.steps else ws.d
+    if ws.log.steps:
+        d = degeneracy_core(bitset_index(cur.graph)[2], (1 << cur.graph.n) - 1)[0]
+    else:
+        d = ws.d
     low_bound = low_degree_threshold(d, cur.k)
     total_bound = kernel_vertex_bound(d, cur.k)
     anchors = cur.anchors

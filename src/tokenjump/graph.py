@@ -1,10 +1,14 @@
-"""Immutable simple undirected graphs with stable integer vertex ids."""
+"""Immutable simple undirected graphs with stable integer vertex ids.
+
+Also the bitset helpers every layer shares, each the one place its fact is
+computed: ``bitset_index`` numbers the vertices and builds neighbor masks,
+``set_bits`` lists a mask's positions, and ``degeneracy_core`` peels the
+degeneracy and its core from those masks.
+"""
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -113,42 +117,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegeneracyResult:
-    """Peeling order plus the largest minimum degree seen while peeling."""
-
-    d: int
-    order: tuple[int, ...]
-
-
-def degeneracy_order(g: Graph) -> DegeneracyResult:
-    """Min-degree peeling order; ties broken by smallest vertex id.
-
-    The returned ``d`` is the maximum over peeling steps of the minimum degree
-    at that step, so every vertex has at most ``d`` neighbors later in the
-    order.  The empty graph yields ``d = 0`` with an empty order.  Peels
-    smallest-last (Matula and Beck) from a heap of ``(degree, id)`` entries,
-    skipping stale ones, in O(m log n).
-    """
-    degs = {v: len(ns) for v, ns in g._adj.items()}
-    heap = [(deg, v) for v, deg in degs.items()]
-    heapq.heapify(heap)
-    order: list[int] = []
-    d = 0
-    while heap:
-        deg, v = heapq.heappop(heap)
-        if degs.get(v) != deg:
-            continue
-        del degs[v]
-        d = max(d, deg)
-        order.append(v)
-        for w in g._adj[v]:
-            if w in degs:
-                degs[w] -= 1
-                heapq.heappush(heap, (degs[w], w))
-    return DegeneracyResult(d=d, order=tuple(order))
-
-
 def bitset_index(
     g: Graph, order: Iterable[int] | None = None
 ) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
@@ -166,6 +134,43 @@ def bitset_index(
             mask |= 1 << pos[w]
         nbr.append(mask)
     return verts, pos, nbr
+
+
+def degeneracy_core(nbr: list[int], alive: int) -> tuple[int, int]:
+    """Degeneracy d of the graph on the ``alive`` positions, and its d-core.
+
+    ``nbr`` holds open neighbor masks as ``bitset_index`` builds them; bits
+    outside ``alive`` are ignored.  Peels as Batagelj and Zaversnik do, with
+    one mask of positions per current degree: at each level every position
+    of that degree leaves, and no degree drops below the level being peeled.
+    d is the highest level reached, and the d-core, the largest set in
+    which each position has d neighbors or more, is the mask left when it
+    is reached.  No live position gives ``(0, 0)``.
+    """
+    deg = [0] * len(nbr)
+    buckets = [0] * len(nbr)
+    for i in set_bits(alive):
+        deg[i] = k = (nbr[i] & alive).bit_count()
+        buckets[k] |= 1 << i
+    d, core, left, level = 0, alive, alive, 0
+    while left:
+        batch = buckets[level]
+        if not batch:
+            level += 1
+            continue
+        if level > d:
+            d, core = level, left
+        buckets[level] = 0
+        left ^= batch
+        for i in set_bits(batch):
+            for w in set_bits(nbr[i] & left):
+                k = deg[w]
+                if k > level:
+                    bit = 1 << w
+                    buckets[k] ^= bit
+                    buckets[k - 1] |= bit
+                    deg[w] = k - 1
+    return d, core
 
 
 def set_bits(mask: int) -> Iterator[int]:

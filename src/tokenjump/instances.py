@@ -237,9 +237,13 @@ def parse_instance(data: str | bytes) -> Instance:
             if (source if tag == "s" else target) is not None:
                 raise InstanceFormatError(f"duplicate {tag!r} line", line_no)
             vs = _ints(parts[1:], line_no)
+            seen: set[int] = set()
             for v in vs:
                 if not 1 <= v <= n:
                     raise InstanceFormatError(f"vertex {v} out of range 1..{n}", line_no)
+                if v in seen:
+                    raise InstanceFormatError(f"duplicate vertex {v} in {tag!r} line", line_no)
+                seen.add(v)
             if tag == "s":
                 source = [v - 1 for v in vs]
             else:
@@ -395,6 +399,8 @@ def parse_report(data: str | bytes) -> dict:
         for entry in seq:
             if not isinstance(entry, list) or not all(_is_vertex(v) for v in entry):
                 raise ReportFormatError("sequence entries must be arrays of 1-indexed vertices")
+            if len(set(entry)) != len(entry):
+                raise ReportFormatError("a sequence entry names a vertex twice")
     kernel = report.get("kernel")
     if (
         not isinstance(kernel, dict)

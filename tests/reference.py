@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 from tokenjump import (
     DEFAULT_STATE_BUDGET,
     QuasiWideParams,
-    DegeneracyResult,
     Graph,
     InfeasibleInstanceError,
     Instance,
@@ -39,8 +38,7 @@ from tokenjump import (
     size_bounds,
 )
 from tokenjump.degenerate import extract_sunflower
-from tokenjump.graph import bitset_index
-from tokenjump.graph import degeneracy_order as heap_degeneracy_order
+from tokenjump.graph import bitset_index, degeneracy_core
 
 ISR_CORPUS_SIZE = 500
 DSR_CORPUS_SIZE = 300
@@ -462,21 +460,37 @@ def search_core(g: Graph, k: int) -> frozenset[int]:
     return frozenset(v for i, v in enumerate(verts) if core_mask >> i & 1)
 
 
-def degeneracy_order(g: Graph) -> DegeneracyResult:
-    """Min-degree peeling by a full scan of the vertices left at every step."""
+def degeneracy(g: Graph) -> int:
+    """Degeneracy by min-degree peeling, with a full scan of the vertices
+    left at every step."""
     degs = {v: g.degree(v) for v in g.vertices}
     alive = set(degs)
-    order: list[int] = []
     d = 0
     while alive:
         v = min(alive, key=lambda u: (degs[u], u))
         d = max(d, degs[v])
-        order.append(v)
         alive.remove(v)
         for w in g.neighbor_set(v):
             if w in alive:
                 degs[w] -= 1
-    return DegeneracyResult(d=d, order=tuple(order))
+    return d
+
+
+def d_core(g: Graph, d: int) -> frozenset[int]:
+    """The d-core: drop vertices with fewer than d neighbours left until
+    none is left."""
+    left = set(g.vertices)
+    while True:
+        low = {v for v in left if len(g.neighbor_set(v) & left) < d}
+        if not low:
+            return frozenset(left)
+        left -= low
+
+
+def peeled_degeneracy(g: Graph) -> int:
+    """d of g by the solver's peeler, for the oracles that peel again after
+    every deletion, where the full scan would be too slow."""
+    return degeneracy_core(bitset_index(g)[2], (1 << g.n) - 1)[0]
 
 
 def remove_closed_twins(inst: Instance) -> tuple[Instance, ReductionLog]:
@@ -646,9 +660,9 @@ def kernelize_degenerate(inst: Instance) -> tuple[Instance, ReductionLog, int]:
     """Kernel, log and d, recomputing the degeneracy before every attempt."""
     cur, log = reduce_to_fixpoint(
         inst,
-        lambda cur: reduce_low_degree_once(cur, heap_degeneracy_order(cur.graph).d),
+        lambda cur: reduce_low_degree_once(cur, peeled_degeneracy(cur.graph)),
     )
-    d = heap_degeneracy_order(cur.graph).d
+    d = peeled_degeneracy(cur.graph)
     low_bound = low_degree_threshold(d, cur.k)
     anchors = cur.anchors
     g = cur.graph

@@ -121,6 +121,24 @@ def test_verify_rejects_booleans_and_negative_sizes_with_65(capsys, tmp_path, p4
         assert err.startswith("tokenjump: error: ")
 
 
+def test_sets_naming_a_vertex_twice_exit_65(capsys, tmp_path):
+    """On P3 with k = 1, a source line "s 1 1" and a report step [3, 3] name
+    a vertex twice; neither may be read as the set of its distinct vertices."""
+    instance = tmp_path / "p3.isr"
+    instance.write_text("p isr 3 2 1\ne 1 2\ne 2 3\ns 1 1\nt 3\n")
+    code, out, err = run(capsys, "solve", str(instance))
+    assert code == 65 and out == ""
+    assert err == "tokenjump: error: line 4: duplicate vertex 1 in 's' line\n"
+    instance.write_text("p isr 3 2 1\ne 1 2\ne 2 3\ns 1\nt 3\n")
+    report = json.loads(run(capsys, "solve", str(instance))[1])
+    report["sequence"] = [[1], [], [3, 3]]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "verify", str(instance), str(path))
+    assert code == 65 and out == ""
+    assert err == "tokenjump: error: a sequence entry names a vertex twice\n"
+
+
 def test_verify_without_sequence_is_vacuous(capsys, tmp_path):
     path = tmp_path / "c4.isr"
     path.write_text(C4_TEXT)

@@ -9,7 +9,6 @@ from tokenjump import (
     Problem,
     Verdict,
     bfs_reconfig,
-    degeneracy_order,
     kernel_vertex_bound,
     kernelize_degenerate,
     low_degree_threshold,

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tokenjump import Graph, contains_biclique, degeneracy_order, gen_random_degenerate
-from tokenjump.graph import bitset_index
+from tokenjump import Graph, contains_biclique, gen_random_degenerate
+from tokenjump.graph import bitset_index, degeneracy_core, set_bits
 
 import reference
 
@@ -43,34 +44,56 @@ def test_construction_rejects_self_loops_and_unknown_endpoints():
         Graph([0, 1], [(0, 2)])
 
 
+def peel(g, alive=None):
+    """``degeneracy_core`` on g's bitset index, the core as vertex ids."""
+    verts, _, nbr = bitset_index(g)
+    if alive is None:
+        alive = (1 << g.n) - 1
+    d, core = degeneracy_core(nbr, alive)
+    return d, {verts[i] for i in set_bits(core)}
+
+
+def assert_peel_matches_reference(g, alive):
+    """The peel of g's live vertices against the min-scan d and the d-core
+    dropped vertex by vertex, on the induced subgraph.  The workspace's masks
+    hold no dead bit, and the peel must also ignore dead bits it is given."""
+    verts, _, nbr = bitset_index(g)
+    live = g.induced_subgraph(verts[i] for i in set_bits(alive))
+    d = reference.degeneracy(live)
+    expected = (d, reference.d_core(live, d))
+    assert peel(g, alive) == expected
+    masked = [mask & alive if alive >> i & 1 else 0 for i, mask in enumerate(nbr)]
+    d, core = degeneracy_core(masked, alive)
+    assert (d, {verts[i] for i in set_bits(core)}) == expected
+
+
 def test_degeneracy_examples():
-    assert degeneracy_order(path(4)).d == 1
-    assert degeneracy_order(complete(4)).d == 3
-    assert degeneracy_order(cycle(5)).d == 2
-    empty = degeneracy_order(Graph())
-    assert empty.d == 0 and empty.order == ()
+    assert peel(path(4)) == (1, {0, 1, 2, 3})
+    assert peel(complete(4)) == (3, {0, 1, 2, 3})
+    assert peel(cycle(5)) == (2, set(range(5)))
+    assert peel(Graph()) == (0, set())
+    assert peel(Graph(range(4))) == (0, {0, 1, 2, 3})
+    # a triangle with a pendant path: the 2-core is the triangle
+    tail = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    assert peel(tail) == (2, {0, 1, 2})
+    assert peel(tail, 0b11011) == (1, {0, 1, 3, 4})
+    assert peel(tail, 0) == (0, set())
 
 
-@given(graphs())
-def test_degeneracy_order_is_a_valid_peeling(g):
-    res = degeneracy_order(g)
-    assert sorted(res.order) == list(g.vertices)
-    later = set(g.vertices)
-    for v in res.order:
-        later.discard(v)
-        assert len(g.neighbor_set(v) & later) <= res.d
+@given(graphs(max_n=14), st.data())
+def test_degeneracy_core_matches_reference(g, data):
+    assert_peel_matches_reference(g, (1 << g.n) - 1)
+    assert_peel_matches_reference(g, data.draw(st.integers(0, (1 << g.n) - 1)))
 
 
-@given(graphs(max_n=14))
-def test_degeneracy_order_matches_min_scan_reference(g):
-    assert degeneracy_order(g) == reference.degeneracy_order(g)
-
-
-def test_degeneracy_order_matches_min_scan_reference_on_corpora():
+def test_degeneracy_core_matches_reference_on_corpora():
+    rng = random.Random(0x5EED)
     graphs_ = [inst.graph for inst, _ in reference.isr_corpus()]
     graphs_ += [inst.graph for inst in reference.sparse_corpus()]
+    graphs_ += [Graph(), Graph(range(7))]
     for g in graphs_:
-        assert degeneracy_order(g) == reference.degeneracy_order(g)
+        assert_peel_matches_reference(g, (1 << g.n) - 1)
+        assert_peel_matches_reference(g, rng.getrandbits(g.n) if g.n else 0)
 
 
 def test_bitset_index_examples():
@@ -140,7 +163,7 @@ def test_generator_respects_degeneracy_and_edge_bounds(n, d, seed):
     g = gen_random_degenerate(n, d, seed)
     assert g.n == n
     assert g.m <= d * n
-    assert degeneracy_order(g).d <= d
+    assert reference.degeneracy(g) <= d
 
 
 def test_generator_is_deterministic():

@@ -94,6 +94,9 @@ def test_parsed_graph_equals_the_graph_of_its_edges(data):
         (lambda t: t.replace("e 1 2", "e 1"), "edge line must be 'e <u> <v>'"),
         (lambda t: t.replace("e 1 2", "e 1 2 3"), "edge line must be 'e <u> <v>'"),
         (lambda t: t.replace("s 1 3", "s 1 9"), r"vertex 9 out of range 1\.\.4"),
+        # k = 2: "s 1 1 3" must not be read as the set {1, 3}
+        (lambda t: t.replace("s 1 3", "s 1 1 3"), "line 5: duplicate vertex 1 in 's' line"),
+        (lambda t: t.replace("t 2 4", "t 4 2 4"), "line 6: duplicate vertex 4 in 't' line"),
         (lambda t: t.replace("s 1 3", "p isr 4 3 2\ns 1 3"), "duplicate problem line"),
         (lambda t: t.replace("p isr 4 3 2", "p isr 0 3 2"), "n must be >= 1"),
         (lambda t: t.replace("p isr 4 3 2", "p isr 100001 3 2"), "line 1: n must be <= 100000"),
@@ -268,6 +271,8 @@ def test_serialize_report_no_and_unknown():
         lambda r: r["stats"].update(states_explored=True),
         lambda r: r["stats"].update(ms=False),
         lambda r: r["stats"].update(ms=float("nan")),
+        # a vertex named twice in one entry is not a set of k tokens
+        lambda r: r["sequence"][-1].append(r["sequence"][-1][0]),
     ],
 )
 def test_parse_report_rejects_corruption(corrupt):

@@ -19,13 +19,13 @@ from tokenjump import (
     Instance,
     Problem,
     QuasiWideParams,
-    degeneracy_order,
     gen_random_degenerate,
     kernelize_degenerate,
     kernelize_quasiwide,
     plant_isr_instance,
 )
 from tokenjump import degenerate, graph, quasiwide
+from tokenjump.degenerate import _LowDegreeWorkspace
 
 import reference
 
@@ -47,16 +47,40 @@ def test_degenerate_kernel_matches_per_deletion_loop():
         assert twins_follow_rule_deletions(ours[1])
 
 
-def test_degeneracy_falls_while_the_rule_deletes():
-    falls = [
+def d_falls():
+    """The deletion-corpus instances whose kernel has a smaller d than the input."""
+    return [
         inst
         for inst in reference.deletion_corpus()
-        if kernelize_degenerate(inst).d < degeneracy_order(inst.graph).d
+        if kernelize_degenerate(inst).d < reference.degeneracy(inst.graph)
     ]
+
+
+def test_degeneracy_falls_while_the_rule_deletes():
+    falls = d_falls()
     assert len(falls) == 2
     for inst in falls:
-        assert degeneracy_order(inst.graph).d == 2
+        assert reference.degeneracy(inst.graph) == 2
         assert kernelize_degenerate(inst).d == 0
+
+
+def test_bound_check_catches_a_degeneracy_left_stale(monkeypatch):
+    """A workspace that does not peel d again when its d-core empties keeps
+    the old d; the bound check peels the kernel itself and must say so."""
+    falls = d_falls()
+    peel_core = _LowDegreeWorkspace._peel_core
+
+    def peel_core_keeping_d(self, i, nb):
+        d, low = self.d, self._low
+        peel_core(self, i, nb)
+        if self.d != d:  # the d-core emptied and d was peeled again
+            self.d, self._core, self._low = d, 0, low
+
+    monkeypatch.setattr(_LowDegreeWorkspace, "_peel_core", peel_core_keeping_d)
+    assert len(falls) == 2
+    for inst in falls:
+        with pytest.raises(RuntimeError, match="kernel bound violated"):
+            kernelize_degenerate(inst)
 
 
 def test_quasiwide_kernel_matches_per_deletion_loop():
@@ -139,7 +163,7 @@ def test_kernels_match_per_deletion_loop_on_small_graphs(inst, params):
 
 
 def test_kernels_rebuild_nothing_per_deletion(monkeypatch):
-    """Graph copies, bitset indexes and degeneracy orders do not grow with deletions."""
+    """Graph copies, bitset indexes and degeneracy peels do not grow with deletions."""
     inst = plant_isr_instance(gen_random_degenerate(1000, 1, 1), 2, 1)
     calls: Counter[str] = Counter()
 
@@ -152,19 +176,20 @@ def test_kernels_rebuild_nothing_per_deletion(monkeypatch):
 
     for name in ("delete_vertex", "induced_subgraph"):
         monkeypatch.setattr(Graph, name, counted(name, getattr(Graph, name)))
-    for module in (graph, degenerate, quasiwide):
-        for name in ("bitset_index", "degeneracy_order"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for module in (graph, degenerate):  # monkeypatch fails on a name that is gone
+        for name in ("bitset_index", "degeneracy_core"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
+    # the degenerate kernel peels at set-up and for the bound check
     kernels = [
-        (lambda: len(kernelize_degenerate(inst).log), 833),
-        (lambda: len(kernelize_quasiwide(inst, QuasiWideParams())[1]), 950),
+        (lambda: len(kernelize_degenerate(inst).log), 833, 2),
+        (lambda: len(kernelize_quasiwide(inst, QuasiWideParams())[1]), 950, 0),
     ]
-    for run, deletions in kernels:
+    for run, deletions, peels in kernels:
         calls.clear()
         assert run() == deletions
         assert calls["bitset_index"] >= 1
+        assert calls["degeneracy_core"] == peels
         assert max(calls.values()) <= 2, dict(calls)
 
 
