@@ -70,8 +70,9 @@ class Workspace:
     masks, the masks of live and anchor positions, and the live non-anchor
     positions grouped by closed neighborhood mask.  ``delete`` clears the
     deleted bit from its neighbors' masks and re-keys their groups; rules
-    that keep more state extend it.  Every position starts out re-keyed, so
-    the first ``remove_twins`` reads every group.
+    that keep more state extend it.  Both sunflower rules certify and delete
+    through ``delete_petal``.  Every position starts out re-keyed, so the
+    first ``remove_twins`` reads every group.
     """
 
     def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
@@ -103,6 +104,27 @@ class Workspace:
                 self._groups.setdefault(self.nbr[w] | 1 << w, []).append(w)
                 self._rekeyed.append(w)
         return nb
+
+    def delete_petal(
+        self, rule: str, petals: list[int], allowed: int, wanted: int, deletions: int | None = None
+    ) -> ReductionStep:
+        """Delete the first petal centre of a sunflower rule, and return its step.
+
+        ``_sunflower_core`` checks the petals' closed neighborhoods first.
+        The certificate names the core and the petal centres, and the
+        deletion set when ``deletions`` is given, all in vertex ids.
+        """
+        core = _sunflower_core(self.nbr, petals, allowed, wanted)
+        verts = self.verts
+        certificate = {
+            "core": [verts[i] for i in set_bits(core)],
+            "petal_centers": [verts[i] for i in petals],
+        }
+        if deletions is not None:
+            certificate["deletions"] = [verts[i] for i in set_bits(deletions)]
+        step = ReductionStep(rule, verts[petals[0]], certificate)
+        self.delete(petals[0], step)
+        return step
 
     def _ungroup(self, i: int, key: int) -> None:
         group = self._groups[key]
@@ -281,19 +303,7 @@ class _LowDegreeWorkspace(Workspace):
             raise RuntimeError(
                 "sunflower extraction failed above the guarantee threshold"
             )
-        petals = [low[j] for j in found]
-        core = _sunflower_core(nbr, petals, self.alive, 2 * k)
-        verts = self.verts
-        step = ReductionStep(
-            RULE_SUNFLOWER,
-            verts[petals[0]],
-            {
-                "core": [verts[i] for i in set_bits(core)],
-                "petal_centers": [verts[i] for i in petals],
-            },
-        )
-        self.delete(petals[0], step)
-        return step
+        return self.delete_petal(RULE_SUNFLOWER, [low[j] for j in found], self.alive, 2 * k)
 
 
 def kernelize_degenerate(inst: Instance) -> DegenerateKernel:

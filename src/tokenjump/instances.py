@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .graph import Graph
 
@@ -468,22 +468,11 @@ def _sample_independent(g: Graph, k: int, rng: random.Random) -> Optional[frozen
 def plant_isr_instance(g: Graph, k: int, seed: int) -> Optional[Instance]:
     """Sample source and target independent sets of size k by randomized greedy.
 
-    Returns None when sampling fails within 100*n attempts.  No claim is made
-    about reconfigurability; the planted instance may be a yes or a no.
+    Returns None when sampling fails within 100*n attempts, and at once when
+    k > n.  No claim is made about reconfigurability; the planted instance
+    may be a yes or a no.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = random.Random(seed)
-    source: Optional[frozenset[int]] = None
-    for _ in range(100 * g.n):
-        s = _sample_independent(g, k, rng)
-        if s is None:
-            continue
-        if source is None:
-            source = s
-            continue
-        return Instance(Problem.ISR, g, k, source, s)
-    return None
+    return _plant(Problem.ISR, _sample_independent, g, k, seed)
 
 
 def _sample_dominating(g: Graph, k: int, rng: random.Random) -> Optional[frozenset[int]]:
@@ -505,16 +494,26 @@ def _sample_dominating(g: Graph, k: int, rng: random.Random) -> Optional[frozens
 
 def plant_dsr_instance(g: Graph, k: int, seed: int) -> Optional[Instance]:
     """Sample source and target dominating sets of size k by randomized greedy."""
+    return _plant(Problem.DSR, _sample_dominating, g, k, seed)
+
+
+def _plant(
+    problem: Problem, sample: Callable[..., Optional[frozenset[int]]], g: Graph, k: int, seed: int
+) -> Optional[Instance]:
+    """The first two sets ``sample`` draws in 100*n attempts, as source and
+    target; None when it falls short, or at once when no k-subset exists."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > g.n:
+        return None
     rng = random.Random(seed)
     source: Optional[frozenset[int]] = None
     for _ in range(100 * g.n):
-        s = _sample_dominating(g, k, rng)
+        s = sample(g, k, rng)
         if s is None:
             continue
         if source is None:
             source = s
             continue
-        return Instance(Problem.DSR, g, k, source, s)
+        return Instance(problem, g, k, source, s)
     return None

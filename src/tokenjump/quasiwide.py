@@ -17,17 +17,20 @@ The kernel reduces one ``degenerate.Workspace`` from start to fixpoint.
 Anchors are never deleted, so the classes are computed once, and each
 radius-2 ball is computed once and kept until a deletion next to its centre
 (a deletion two steps away only clears its bit).  The certifying sunflower
-is checked on the closed-neighborhood masks, by the check the low-degree
-rule uses too.  The sweep for B = {} stops at the 2k petals the rule needs.
-Once the failed sweeps past B = {} have cost about as much as comparing the
-pool's balls pairwise, the search compares them, and from then on rules a
-deletion set out without sweeping the pool when a clique cover of the pairs
-that no B can separate, plus the pool vertices next to B, falls short of the
-number required.  It skips whole runs of deletion sets sharing a prefix the
-same way, bounding the pool vertices next to the members still to come by
-their largest pool-neighbour counts, and every pick strikes the later
-candidates the sweep would reject.  It finds the same B and A, and runs out
-of budget at the same B, as sweeping every deletion set.
+is checked, and its first petal deleted, by ``Workspace.delete_petal``, the
+step the low-degree rule takes too.  The sweep for B = {} stops at the 2k
+petals the rule needs.  Once the failed sweeps past B = {} have cost about
+as much as comparing the pool's balls pairwise, the search compares them,
+and from then on rules a deletion set out without sweeping the pool when a
+clique cover of the pairs that no B can separate, plus the pool vertices
+next to B, falls short of the number required.  It skips whole runs of
+deletion sets sharing a prefix the same way, bounding the pool vertices
+next to the members still to come by their largest pool-neighbour counts.
+Picks strike later candidates the sweep would reject: a pick with no
+neighbour in B strikes its robust partners only, and a pick next to B
+strikes through an index of the pool balls that hold each rest vertex.  It
+finds the same B and A, and runs out of budget at the same B, as sweeping
+every deletion set.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .degenerate import Workspace, _sunflower_core
+from .degenerate import Workspace
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import Graph, set_bits
 from .instances import (
@@ -125,27 +128,22 @@ def _checked(nbr: list[int], chosen: list[int], blocked: int) -> list[int]:
 
 def _conflicts(
     pool: list[int], pool_mask: int, balls: dict[int, int], top: int
-) -> tuple[dict[int, int], dict[int, list[tuple[int, int]]], int]:
-    """Pairwise ball meets of the pool, split at ``top`` shared vertices.
+) -> tuple[dict[int, int], int]:
+    """Robust conflicts of the pool, and the size of a clique cover of them.
 
-    Returns each vertex's mask of robust conflicts (meets larger than
-    ``top``, both directions), its later fragile partners with their meets,
-    and the size of a greedy clique cover of the robust conflicts.  The
+    Two pool vertices conflict robustly when their balls share more than
+    ``top`` vertices; each vertex gets the mask of its robust partners.  The
     cover seeds its cliques, and grows them, in order of ascending robust
     degree (ties by position): a vertex with few conflicts is covered early
     by a small clique instead of splitting a large one later.
     """
     robust = dict.fromkeys(pool, 0)
-    fragile: dict[int, list[tuple[int, int]]] = {i: [] for i in pool}
     for a, i in enumerate(pool):
         ball = balls[i]
         for j in pool[a + 1 :]:
-            meet = ball & balls[j]
-            if meet.bit_count() > top:
+            if (ball & balls[j]).bit_count() > top:
                 robust[i] |= 1 << j
                 robust[j] |= 1 << i
-            elif meet:
-                fragile[i].append((j, meet))
     order = sorted(pool, key=lambda i: (robust[i].bit_count(), i))
     cover = 0
     uncovered = pool_mask
@@ -161,7 +159,7 @@ def _conflicts(
                 uncovered ^= 1 << j
                 common &= robust[j]
         cover += 1
-    return robust, fragile, cover
+    return robust, cover
 
 
 def _largest_sums(counts: list[int], top: int) -> list[tuple[int, ...]]:
@@ -289,10 +287,11 @@ class _ScatteredWorkspace(Workspace):
         unswept, when the cover plus the wild vertices falls short, and so is
         every set extending a prefix when the cover, the prefix's wild
         vertices and the most pool neighbors its remaining members could add
-        fall short.  Each pick strikes the later tame candidates its ball
-        meets outside B, which the sweep would reject: a tame pick through
-        the pairwise meets, a wild one through an index of the pool balls
-        that hold each rest vertex.  None of this changes what the sweep
+        fall short.  Picks strike later tame candidates whose balls they
+        meet outside B, which the sweep would reject: a tame pick strikes
+        its robust partners only, and a wild one, through an index of the
+        pool balls that hold each rest vertex, every tame candidate whose
+        ball holds a vertex of its own.  None of this changes what the sweep
         picks for any B, or at which B the budget runs out.
         """
         nbr, anchors, balls = self.nbr, self.anchor_mask, self._balls
@@ -326,7 +325,6 @@ class _ScatteredWorkspace(Workspace):
         wild_balls: dict[tuple[int, int], int] = {}
         # until the pool is compared: no strikes or skipped runs, and a cover of singletons
         robust: dict[int, int] = {}
-        fragile: dict[int, list[tuple[int, int]]] = {}
         holders: list[int] = []
         most: list[tuple[int, ...]] = []
         cover = len(pool)
@@ -380,9 +378,6 @@ class _ScatteredWorkspace(Workspace):
                         if used & ball:
                             continue
                         strike = robust.get(i, 0)
-                        for j, meet in fragile.get(i, ()):
-                            if meet & ~blocked:
-                                strike |= 1 << j
                     if strike & tame:
                         tame &= ~strike
                         candidates = tame | wild
@@ -394,7 +389,7 @@ class _ScatteredWorkspace(Workspace):
                 misses += 1
                 if misses == (len(pool) + 1) // 2:
                     pool_balls = {i: self._ball(i) for i in pool}
-                    robust, fragile, cover = _conflicts(pool, pool_mask, pool_balls, top)
+                    robust, cover = _conflicts(pool, pool_mask, pool_balls, top)
                     holders = [0] * len(nbr)
                     for i, ball in pool_balls.items():
                         for v in set_bits(ball):
@@ -431,19 +426,8 @@ class _ScatteredWorkspace(Workspace):
         for a in chosen:
             cells.setdefault(self.nbr[a] & blocked, []).append(a)
         petals = min(cells.items(), key=lambda kv: (-len(kv[1]), list(set_bits(kv[0]))))[1]
-        core = _sunflower_core(self.nbr, petals, blocked | self.anchor_mask, two_k)
-        verts = self.verts
-        step = ReductionStep(
-            RULE_QUASIWIDE,
-            verts[petals[0]],
-            {
-                "core": [verts[i] for i in set_bits(core)],
-                "petal_centers": [verts[a] for a in petals],
-                "deletions": [verts[i] for i in set_bits(blocked)],
-            },
-        )
-        self.delete(petals[0], step)
-        return step
+        allowed = blocked | self.anchor_mask
+        return self.delete_petal(RULE_QUASIWIDE, petals, allowed, two_k, deletions=blocked)
 
 
 def kernelize_quasiwide(

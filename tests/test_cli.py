@@ -166,6 +166,22 @@ def test_gen_dsr_and_failure(capsys):
     assert code == 2 and "could not plant" in err
 
 
+@pytest.mark.parametrize("problem", ["isr", "dsr"])
+def test_gen_gives_up_at_once_when_k_exceeds_n(monkeypatch, capsys, problem):
+    """No k-subset of n < k vertices exists, so no set is sampled at all
+    (each sampler used to make 100 * n attempts of O(n) before exit 2)."""
+
+    def sampled(*args):
+        raise AssertionError("sampled a set")
+
+    monkeypatch.setattr(tokenjump.instances, "_sample_independent", sampled)
+    monkeypatch.setattr(tokenjump.instances, "_sample_dominating", sampled)
+    argv = ("gen", "--n", "1000", "--d", "1", "--k", "1001", "--problem", problem)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"could not plant a {problem} instance with k=1001\n"
+
+
 def test_kernelize_outputs_kernel_and_rules(capsys, tmp_path):
     big = tmp_path / "big.isr"
     n = 170

@@ -9,14 +9,18 @@ from tokenjump import (
     Problem,
     Verdict,
     bfs_reconfig,
+    gen_random_degenerate,
     kernel_vertex_bound,
     kernelize_degenerate,
     low_degree_threshold,
     parse_instance,
+    plant_isr_instance,
     replay_reductions,
+    serialize_instance,
     solve_isr_degenerate,
     verify_sequence,
 )
+from tokenjump import cli, degenerate
 from tokenjump.degenerate import Workspace, _LowDegreeWorkspace
 
 import reference
@@ -229,3 +233,35 @@ def test_non_isr_instances_are_rejected():
         kernelize_degenerate(dsr)
     with pytest.raises(ValueError):
         solve_isr_degenerate(dsr)
+
+
+@pytest.mark.parametrize(
+    "name, broken, message",
+    [
+        (  # the check sees one petal of the found sunflower
+            "_sunflower_core",
+            lambda real: lambda nbr, petals, *rest: real(nbr, petals[:1], *rest),
+            "sunflower failed validation",
+        ),
+        (  # the extraction finds nothing
+            "extract_sunflower",
+            lambda real: lambda masks, want: None,
+            "sunflower extraction failed above the guarantee threshold",
+        ),
+    ],
+)
+def test_a_failed_low_degree_certificate_is_an_internal_error(
+    monkeypatch, tmp_path, capsys, name, broken, message
+):
+    """The forest of ``gen --n 600 --d 1 --k 2 --seed 1``, past the
+    low-degree threshold, with a broken sunflower step."""
+    inst = plant_isr_instance(gen_random_degenerate(600, 1, 1), 2, 1)
+    monkeypatch.setattr(degenerate, name, broken(getattr(degenerate, name)))
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        kernelize_degenerate(inst)
+    path = tmp_path / "forest.isr"
+    path.write_text(serialize_instance(inst))
+    assert cli.main(["solve", str(path)]) == 70
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"tokenjump: internal error: RuntimeError: {message}\n"

@@ -154,9 +154,9 @@ def test_reduce_fires_on_isolated_class():
 
 
 def test_failed_sunflower_validation_is_an_internal_error(monkeypatch, tmp_path, capsys):
-    sunflower_core = quasiwide._sunflower_core
+    sunflower_core = degenerate._sunflower_core
     monkeypatch.setattr(  # the check sees one petal of the found sunflower
-        quasiwide,
+        degenerate,
         "_sunflower_core",
         lambda nbr, petals, *rest: sunflower_core(nbr, petals[:1], *rest),
     )
