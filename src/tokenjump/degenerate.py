@@ -312,9 +312,12 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
     The degeneracy is maintained under every deletion, so each attempt uses
     the degeneracy of the current graph and the threshold only shrinks as
     the graph does.  The certified size bound is checked before returning.
-    If anything was deleted, ``degeneracy_core`` peels d again from a fresh
-    bitset index of the kernel returned, so the check does not trust the
-    maintained d; a violation signals an implementation bug, not bad input.
+    If anything was deleted, ``degeneracy_core`` peels d again from the
+    bitset index of the kernel's own ``Graph``, never from the workspace
+    masks, so the check does not trust the maintained d; a violation signals
+    an implementation bug, not bad input.  That index is kept on the kernel
+    graph, and the search on the kernel reuses it; when nothing was deleted,
+    the search reuses the index the workspace was built from.
     """
     if inst.problem is not Problem.ISR:
         raise ValueError("this reduction applies to ISR instances only")

@@ -8,17 +8,19 @@ pairs through the off-size intermediate.
 
 The search, ``bfs_reconfig``, is the final solver on kernels.  It is a
 two-sided breadth-first search over bitmask states: whole layers grow
-forward from the source or backward from the target, whichever frontier is
-smaller, until the two sides meet.  It returns the same witness as a
-one-sided FIFO search would: the lexicographically least sequence of toggled
-vertex ids among all shortest paths.
+forward from the source or backward from the target, whichever next layer
+costs less, until the two sides meet.  A layer costs its frontier's length
+times the moves per state: r_u removals at size r_u, up to n - r_l
+additions at size r_l.  It returns the same witness as a one-sided FIFO
+search would: the lexicographically least sequence of toggled vertex ids
+among all shortest paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph import bitset_index
 from .instances import Instance, Problem, ReductionLog
@@ -100,11 +102,15 @@ def bfs_reconfig(
     """Shortest-witness search from source to target over feasible states.
 
     Each state has one kind of move: a state of size r_u only loses a vertex
-    and a state of size r_l only gains one.  Successors come from the set
-    bits of the state (removals) or of the vertices it may take (additions),
-    in ascending vertex id.  Each round expands one whole layer of the side
-    whose frontier is smaller, the forward side on ties.  The forward side
-    keeps first-discovery parents, the backward side distances to the target.
+    and a state of size r_l only gains one.  All states of a frontier have
+    one size, so the kind of move is chosen once per layer.  Successors come
+    from the set bits of the state (removals) or of the vertices it may take
+    (additions), in ascending vertex id.  Each round expands one whole layer
+    of the side whose next layer costs less, the forward side on ties: a
+    frontier costs ``len(frontier) * r_u`` at size r_u and
+    ``len(frontier) * (n - r_l)`` at size r_l.  Which side grows changes the
+    work, not the witness.  The forward side keeps first-discovery parents,
+    the backward side distances to the target.
 
     Witness rule: the lexicographically least sequence of toggled vertex ids
     among all shortest paths.  Within a layer, first-discovery order is that
@@ -115,14 +121,14 @@ def bfs_reconfig(
     the backward side holds ends the prefix.  When a backward layer meets
     the forward frontier, the rest of that layer is scanned without inserts,
     and the first frontier state (in discovery order) that it met ends the
-    prefix.  The prefix is that
-    state's parent chain; the suffix steps to the successor with the least
-    toggled id that is one step closer to the target.
+    prefix.  The prefix is that state's parent chain; the suffix steps to
+    the successor with the least toggled id that is one step closer to the
+    target.
 
-    ``states_explored`` counts the distinct states of both sides.  The budget
-    is checked before each insert, so the count never exceeds
-    ``state_budget``; EXHAUSTED means an insert would have exceeded it before
-    the question was resolved.
+    ``states_explored`` counts the distinct states of both sides, kept as a
+    running count.  The budget is checked before each insert, so the count
+    never exceeds ``state_budget``; EXHAUSTED means an insert would have
+    exceeded it before the question was resolved.
     """
     if state_budget < 1:
         raise ValueError("state_budget must be >= 1")
@@ -130,9 +136,10 @@ def bfs_reconfig(
         return SearchOutcome(Verdict.YES, ReconfSequence((instance.source,)), 1)
     if state_budget < 2:  # the target would be the second state
         return SearchOutcome(Verdict.EXHAUSTED, None, 1)
-    r_l, _ = size_bounds(instance.problem, instance.k)
+    r_l, r_u = size_bounds(instance.problem, instance.k)
     verts, pos, nbr = bitset_index(instance.graph)
-    full = (1 << len(verts)) - 1
+    n = len(verts)
+    full = (1 << n) - 1
     isr = instance.problem is Problem.ISR
     if not isr:  # DSR covers with closed neighborhoods
         nbr = [mask | 1 << i for i, mask in enumerate(nbr)]
@@ -144,26 +151,7 @@ def bfs_reconfig(
         return m
 
     def to_set(mask: int) -> frozenset[int]:
-        return frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
-
-    def successors(cur: int) -> list[int]:
-        """States one move from ``cur``, by ascending toggled vertex id."""
-        out = []
-        if cur.bit_count() > r_l:  # removals only
-            rest = cur
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if isr or cover_of(cur ^ low) == full:
-                    out.append(cur ^ low)
-            return out
-        # Additions only.  For DSR any superset of a dominating set dominates.
-        rest = full & ~(cur | cover_of(cur) if isr else cur)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            out.append(cur | low)
-        return out
+        return frozenset(verts[i] for i in range(n) if mask >> i & 1)
 
     def cover_of(mask: int) -> int:
         """The union of the neighbor masks of the members of ``mask``."""
@@ -174,11 +162,42 @@ def bfs_reconfig(
             cover |= nbr[low.bit_length() - 1]
         return cover
 
+    def removals(cur: int) -> list[int]:
+        """States one removal from ``cur``, by ascending removed vertex id."""
+        out = []
+        rest = cur
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if isr or cover_of(cur ^ low) == full:
+                out.append(cur ^ low)
+        return out
+
+    def additions(cur: int) -> list[int]:
+        """States one addition from ``cur``, by ascending added vertex id.
+
+        For DSR any superset of a dominating set dominates.
+        """
+        out = []
+        rest = full & ~(cur | cover_of(cur) if isr else cur)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out.append(cur | low)
+        return out
+
+    def moves(cur: int) -> tuple[Callable[[int], list[int]], int]:
+        """The moves of states of ``cur``'s size, and their count per state."""
+        if cur.bit_count() > r_l:
+            return removals, r_u
+        return additions, n - r_l
+
     src = to_mask(instance.source)
     tgt = to_mask(instance.target)
     parent: dict[int, Optional[int]] = {src: None}  # forward side
     dist = {tgt: 0}  # backward side: distance to the target
     forward, backward = [src], [tgt]
+    explored = 2  # len(parent) + len(dist)
 
     def path_to(state: Optional[int]) -> list[int]:
         """The forward parent chain from the source to ``state``."""
@@ -193,49 +212,49 @@ def bfs_reconfig(
         cur = chain[-1]
         while d:
             d -= 1
-            cur = next(nm for nm in successors(cur) if dist.get(nm) == d)
+            cur = next(nm for nm in moves(cur)[0](cur) if dist.get(nm) == d)
             chain.append(cur)
         seq = ReconfSequence(tuple(to_set(m) for m in chain))
-        return SearchOutcome(Verdict.YES, seq, len(parent) + len(dist))
+        return SearchOutcome(Verdict.YES, seq, explored)
 
     depth = 0  # of the backward side
     while forward and backward:
         layer: list[int] = []
-        if len(forward) <= len(backward):
+        ahead, ahead_cost = moves(forward[0])
+        back, back_cost = moves(backward[0])
+        if len(forward) * ahead_cost <= len(backward) * back_cost:
             for cur in forward:
-                for nm in successors(cur):
+                for nm in ahead(cur):
                     if nm in parent:
                         continue
                     if nm in dist:
                         return finish(path_to(cur) + [nm], dist[nm])
-                    if len(parent) + len(dist) >= state_budget:
-                        return SearchOutcome(
-                            Verdict.EXHAUSTED, None, len(parent) + len(dist)
-                        )
+                    if explored >= state_budget:
+                        return SearchOutcome(Verdict.EXHAUSTED, None, explored)
                     parent[nm] = cur
+                    explored += 1
                     layer.append(nm)
             forward = layer
             continue
         met: set[int] = set()
         for cur in backward:
-            for nm in successors(cur):
+            for nm in back(cur):
                 if nm in dist:
                     continue
                 if nm in parent:
                     met.add(nm)  # necessarily on the forward frontier
                 elif not met:
-                    if len(parent) + len(dist) >= state_budget:
-                        return SearchOutcome(
-                            Verdict.EXHAUSTED, None, len(parent) + len(dist)
-                        )
+                    if explored >= state_budget:
+                        return SearchOutcome(Verdict.EXHAUSTED, None, explored)
                     dist[nm] = depth + 1
+                    explored += 1
                     layer.append(nm)
         if met:
             first = next(s for s in forward if s in met)
             return finish(path_to(first), depth + 1)
         backward = layer
         depth += 1
-    return SearchOutcome(Verdict.NO, None, len(parent) + len(dist))
+    return SearchOutcome(Verdict.NO, None, explored)
 
 
 def verify_sequence(instance: Instance, seq: ReconfSequence) -> Optional[Violation]:

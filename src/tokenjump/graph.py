@@ -22,7 +22,7 @@ class Graph:
     keep downstream output deterministic.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_index")
 
     def __init__(
         self,
@@ -43,12 +43,14 @@ class Graph:
         self._adj: dict[int, frozenset[int]] = {
             v: frozenset(ns) for v, ns in sorted(adj.items())
         }
+        self._index: tuple[tuple[int, ...], dict[int, int], list[int]] | None = None
 
     @classmethod
     def _of(cls, adj: dict[int, frozenset[int]]) -> "Graph":
         """The graph of an adjacency already checked: symmetric, loop-free, keys ascending."""
         g = cls.__new__(cls)
         g._adj = adj
+        g._index = None
         return g
 
     @property
@@ -124,8 +126,25 @@ def bitset_index(
 
     Bits follow ascending ids unless ``order`` lists the vertices otherwise.
     ``nbr[i] | 1 << i`` is the closed neighborhood of ``vertices[i]``.
+
+    The index in ascending order is built once per graph and kept on it, so
+    the kernel's bound check, the search and a workspace that deletes
+    nothing all read one index.  Each call returns a fresh ``nbr`` list that
+    shares the int masks, so a caller may edit it in place; the vertex tuple
+    and the position dict are shared and must not be changed.  An index in
+    another ``order`` is built anew on every call.
     """
-    verts = g.vertices if order is None else tuple(order)
+    if order is not None:
+        return _build_index(g, tuple(order))
+    if g._index is None:
+        g._index = _build_index(g, g.vertices)
+    verts, pos, nbr = g._index
+    return verts, pos, list(nbr)
+
+
+def _build_index(
+    g: Graph, verts: tuple[int, ...]
+) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
     pos = {v: i for i, v in enumerate(verts)}
     nbr = []
     for v in verts:

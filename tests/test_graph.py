@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tokenjump import Graph, contains_biclique, gen_random_degenerate
+from tokenjump import (
+    Graph,
+    contains_biclique,
+    gen_random_degenerate,
+    kernelize_degenerate,
+    plant_isr_instance,
+)
 from tokenjump.graph import bitset_index, degeneracy_core, set_bits
 
 import reference
@@ -103,6 +109,50 @@ def test_bitset_index_examples():
     assert pos == {3: 0, 7: 1, 9: 2}
     assert nbr == [0b100, 0b100, 0b011]
     assert bitset_index(Graph()) == ((), {}, [])
+
+
+def test_bitset_index_is_built_once_per_graph():
+    """Default-order calls share the vertex tuple and position dict, and each
+    returns its own ``nbr`` list, so editing one does not reach the next."""
+    g = cycle(5)
+    assert g._index is None
+    verts, pos, nbr = bitset_index(g)
+    again = bitset_index(g)
+    assert again == (verts, pos, nbr)
+    assert again[0] is verts and again[1] is pos and again[2] is not nbr
+    nbr[0] = 0
+    nbr.append(1)
+    assert bitset_index(g)[2] == [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
+
+
+def test_bitset_index_in_another_order_is_not_kept():
+    g = path(3)
+    first = bitset_index(g, [2, 1, 0])
+    assert first == ((2, 1, 0), {2: 0, 1: 1, 0: 2}, [0b010, 0b101, 0b010])
+    assert g._index is None
+    assert bitset_index(g, [2, 1, 0])[1] is not first[1]
+    assert bitset_index(g)[0] == (0, 1, 2)
+    assert bitset_index(g, [2, 1, 0]) == first
+
+
+def test_derived_graphs_start_without_an_index():
+    g = star(3)
+    bitset_index(g)
+    assert g._index is not None
+    for h in (g.delete_vertex(1), g.induced_subgraph([0, 2, 3])):
+        assert h._index is None
+        assert bitset_index(h) == ((0, 2, 3), {0: 0, 2: 1, 3: 2}, [0b110, 0b001, 0b001])
+
+
+def test_kernelization_leaves_the_parsed_index_intact():
+    """The workspace edits its copy of the masks; the graph's index stays as built."""
+    inst = plant_isr_instance(gen_random_degenerate(600, 1, 1), 2, 1)
+    kern = kernelize_degenerate(inst)
+    assert kern.log.steps
+    g = inst.graph
+    assert bitset_index(g) == bitset_index(g, g.vertices)
+    h = kern.kernel.graph
+    assert bitset_index(h) == bitset_index(h, h.vertices)
 
 
 def test_closed_neighborhood_examples():

@@ -13,6 +13,7 @@ from tokenjump import (
     gen_random_degenerate,
     plant_dsr_instance,
     plant_isr_instance,
+    verify_sequence,
 )
 
 import reference
@@ -57,6 +58,33 @@ def test_budgets_never_overrun_or_mislead(name):
             if out.verdict is not Verdict.EXHAUSTED:
                 assert out.verdict is theirs.verdict
                 assert out.sequence == theirs.sequence
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_tight_budgets_count_every_state(name):
+    """A run's own state count suffices as its budget, and one state less
+    stops it exactly there."""
+    for inst in CORPORA[name]():
+        full = bfs_reconfig(inst)
+        count = full.states_explored
+        if count < 3:
+            continue
+        tight = bfs_reconfig(inst, state_budget=count)
+        assert (tight.verdict, tight.sequence) == (full.verdict, full.sequence)
+        assert tight.states_explored == count
+        short = bfs_reconfig(inst, state_budget=count - 1)
+        assert short.verdict is Verdict.EXHAUSTED
+        assert short.states_explored == count - 1
+
+
+def test_forest_search_grows_the_cheaper_side():
+    """On this k = 3 forest a layer of additions costs about n / k times a
+    removal layer of the same length; growing the shorter frontier took
+    2,143,168 states here."""
+    inst = plant_isr_instance(gen_random_degenerate(2000, 1, 2), 3, 2)
+    out = bfs_reconfig(inst, state_budget=50_000)
+    assert out.verdict is Verdict.YES
+    assert verify_sequence(inst, out.sequence) is None
 
 
 @st.composite
