@@ -15,6 +15,7 @@ from .engine import (
     DEFAULT_STATE_BUDGET,
     ReconfSequence,
     SolveResult,
+    Verdict,
     bfs_reconfig,
     verify_sequence,
 )
@@ -51,6 +52,8 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_SOFTWARE = 70
 EX_CANTCREAT = 73
+
+_EXIT_CODES = {Verdict.YES: EX_OK, Verdict.NO: EX_NO, Verdict.EXHAUSTED: EX_UNKNOWN}
 
 _BICLIQUE_WORK_CAP = 200_000
 
@@ -96,10 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", help="write output to this path instead of stdout")
 
+    quasiwide = QuasiWideParams()  # the flags' defaults
+
     def add_quasiwide_flags(p):
-        p.add_argument("--class-threshold", type=_positive, default=32)
-        p.add_argument("--max-deletions", type=_non_negative, default=2)
-        p.add_argument("--search-budget", type=_positive, default=10_000)
+        p.add_argument("--class-threshold", type=_positive, default=quasiwide.class_threshold)
+        p.add_argument("--max-deletions", type=_non_negative, default=quasiwide.max_deletions)
+        p.add_argument("--search-budget", type=_positive, default=quasiwide.search_budget)
 
     p = sub.add_parser("solve", help="decide an instance and emit a report")
     add_input(p)
@@ -170,13 +175,8 @@ def _emit(text: str, out: str | None) -> None:
         raise _OutputError(f"cannot write {out}: {exc}") from None
 
 
-def _quasiwide_params(args, k: int) -> QuasiWideParams:
-    # the reducer requires class_threshold >= 2k; clamp rather than fail
-    return QuasiWideParams(
-        class_threshold=max(args.class_threshold, 2 * k),
-        max_deletions=args.max_deletions,
-        search_budget=args.search_budget,
-    )
+def _quasiwide_params(args) -> QuasiWideParams:
+    return QuasiWideParams(args.class_threshold, args.max_deletions, args.search_budget)
 
 
 def _read_instance(args):
@@ -194,9 +194,7 @@ def _cmd_solve(args) -> int:
         outcome = bfs_reconfig(inst, args.state_budget)
         result = SolveResult(outcome, ReductionLog(), inst)
     elif args.strategy == "quasiwide":
-        result = solve_isr_quasiwide(
-            inst, _quasiwide_params(args, inst.k), args.state_budget
-        )
+        result = solve_isr_quasiwide(inst, _quasiwide_params(args), args.state_budget)
     elif inst.problem is Problem.ISR:
         result = solve_isr_degenerate(inst, args.state_budget)
     else:
@@ -206,13 +204,13 @@ def _cmd_solve(args) -> int:
         serialize_report(result.outcome, result.log, result.kernel.graph, ms=ms),
         args.out,
     )
-    return {"yes": EX_OK, "no": EX_NO, "exhausted": EX_UNKNOWN}[result.outcome.verdict.value]
+    return _EXIT_CODES[result.outcome.verdict]
 
 
 def _cmd_kernelize(args) -> int:
     inst = _read_instance(args)
     if args.strategy == "quasiwide":
-        kernel, log = kernelize_quasiwide(inst, _quasiwide_params(args, inst.k))
+        kernel, log = kernelize_quasiwide(inst, _quasiwide_params(args))
     elif inst.problem is Problem.ISR:
         kern = kernelize_degenerate(inst)
         kernel, log = kern.kernel, kern.log

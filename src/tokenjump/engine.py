@@ -19,11 +19,10 @@ among all shortest paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 from .graph import bitset_index
-from .instances import Instance, Problem, ReductionLog
+from .instances import Instance, Problem, ReductionLog, Verdict, infeasibility
 
 __all__ = [
     "DEFAULT_STATE_BUDGET",
@@ -38,12 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_STATE_BUDGET = 10_000_000
-
-
-class Verdict(str, Enum):
-    YES = "yes"
-    NO = "no"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
@@ -277,23 +270,14 @@ def verify_sequence(instance: Instance, seq: ReconfSequence) -> Optional[Violati
         if unknown:
             w = min(unknown)
             return Violation(2, i, f"set at index {i} names unknown vertex {w}", (w,))
-        if instance.problem is Problem.ISR:
-            for u in sorted(s):
-                inside = g.neighbor_set(u) & s
-                if inside:
-                    w = min(inside)
-                    return Violation(
-                        2, i, f"vertices {u} and {w} are adjacent", (u, w)
-                    )
-        else:
-            covered: set[int] = set()
-            for v in s:
-                covered.add(v)
-                covered.update(g.neighbor_set(v))
-            missing = vertex_set - covered
-            if missing:
-                w = min(missing)
-                return Violation(2, i, f"vertex {w} is not dominated", (w,))
+        witness = infeasibility(g, instance.problem, s)
+        if witness:
+            message = (
+                "vertices {} and {} are adjacent"
+                if instance.problem is Problem.ISR
+                else "vertex {} is not dominated"
+            )
+            return Violation(2, i, message.format(*witness), witness)
         if not (r_l <= len(s) <= r_u):
             return Violation(
                 4, i, f"set at index {i} has size {len(s)}, outside [{r_l}, {r_u}]"

@@ -45,6 +45,14 @@ class Problem(str, Enum):
     DSR = "dsr"
 
 
+class Verdict(str, Enum):
+    """A search's answer, valued as the report's ``answer`` field."""
+
+    YES = "yes"
+    NO = "no"
+    EXHAUSTED = "unknown"
+
+
 class InstanceFormatError(ValueError):
     """Problem-instance text that cannot be parsed or violates an invariant."""
 
@@ -59,16 +67,26 @@ class ReportFormatError(ValueError):
     """Report JSON that does not match the expected schema."""
 
 
+def infeasibility(graph: Graph, problem: Problem, s: frozenset[int]) -> tuple[int, ...]:
+    """Why the set ``s`` of vertices of ``graph`` is infeasible; () when it is feasible.
+
+    ISR: the least vertex of ``s`` with a neighbor in ``s``, and its least
+    such neighbor.  DSR: the least vertex that the closed neighborhoods of
+    ``s`` miss.
+    """
+    if problem is Problem.ISR:
+        for u in sorted(s):
+            inside = graph.neighbor_set(u) & s
+            if inside:
+                return u, min(inside)
+        return ()
+    missing = graph.vertex_set.difference(s, *map(graph.neighbor_set, s))
+    return (min(missing),) if missing else ()
+
+
 def is_feasible(graph: Graph, problem: Problem, subset: Iterable[int]) -> bool:
     """ISR: no edge inside the set.  DSR: closed neighborhood covers V."""
-    s = frozenset(subset)
-    if problem is Problem.ISR:
-        return all(not (graph.neighbor_set(v) & s) for v in s)
-    covered: set[int] = set()
-    for v in s:
-        covered.add(v)
-        covered.update(graph.neighbor_set(v))
-    return covered == set(graph.vertex_set)
+    return not infeasibility(graph, problem, frozenset(subset))
 
 
 @dataclass(frozen=True)
@@ -346,20 +364,14 @@ def layout_json(payload: dict) -> str:
 def serialize_report(outcome, log: ReductionLog, kernel: Graph, *, ms: int = 0) -> str:
     """Emit the JSON report for a solver outcome.
 
-    ``outcome`` is an ``engine.SearchOutcome``; ``kernel`` is the graph the
-    search ran on (the input graph when no reduction was applied).
+    ``outcome`` is an ``engine.SearchOutcome``, whose verdict's value is the
+    report's ``answer``; ``kernel`` is the graph the search ran on (the
+    input graph when no reduction was applied).
     """
-    from .engine import Verdict  # local import: engine depends on this module
-
-    answer = {
-        Verdict.YES: "yes",
-        Verdict.NO: "no",
-        Verdict.EXHAUSTED: "unknown",
-    }[outcome.verdict]
-    report: dict = {"answer": answer}
-    if answer == "unknown":
+    report: dict = {"answer": outcome.verdict.value}
+    if outcome.verdict is Verdict.EXHAUSTED:
         report["reason"] = REASON_BUDGET
-    if answer == "yes":
+    if outcome.verdict is Verdict.YES:
         report["sequence"] = [
             sorted(v + 1 for v in s) for s in outcome.sequence.sets
         ]
@@ -388,7 +400,7 @@ def parse_report(data: str | bytes) -> dict:
     if not isinstance(report, dict):
         raise ReportFormatError("report must be a JSON object")
     answer = report.get("answer")
-    if answer not in ("yes", "no", "unknown"):
+    if answer not in [v.value for v in Verdict]:  # a list: the answer may be unhashable
         raise ReportFormatError(f"invalid answer {answer!r}")
     if (answer == "yes") != ("sequence" in report):
         raise ReportFormatError("sequence must be present iff the answer is yes")

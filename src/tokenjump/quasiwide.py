@@ -63,7 +63,8 @@ __all__ = [
 class QuasiWideParams:
     """Performance knobs for the scattered-set reducer.
 
-    ``class_threshold`` must be at least 2k for the instance at hand;
+    A class is searched when it has more than ``class_threshold`` vertices;
+    a threshold below 2k for the instance at hand acts as 2k.
     ``max_deletions`` bounds |B|; ``search_budget`` caps how many candidate
     deletion sets are tried per reduction attempt, counting B = {} and every
     set the search rules out without a sweep.
@@ -400,8 +401,9 @@ class _ScatteredWorkspace(Workspace):
     def scattered_once(self, k: int, params: QuasiWideParams) -> Optional[ReductionStep]:
         """Try to delete one irrelevant vertex from an oversized class.
 
-        Picks the largest class above ``class_threshold`` and searches for a
-        scattered set inside it, in the rest.  A candidate deletion set B of
+        Picks the largest class above ``class_threshold``, or above 2k if
+        that is more, and searches for a scattered set inside it, in the
+        rest.  A candidate deletion set B of
         size s must come with at least 2k * 2^s scattered vertices, so that
         by pigeonhole some cell of equal B-neighborhood keeps 2k of them; the
         largest cell's closed neighborhoods form the certifying sunflower,
@@ -411,10 +413,9 @@ class _ScatteredWorkspace(Workspace):
         error.
         """
         two_k = 2 * k
+        threshold = max(params.class_threshold, two_k)
         oversized = [
-            (-len(vs), key, vs)
-            for key, vs in self._classes.items()
-            if len(vs) > params.class_threshold
+            (-len(vs), key, vs) for key, vs in self._classes.items() if len(vs) > threshold
         ]
         if not oversized:
             return None
@@ -436,8 +437,6 @@ def kernelize_quasiwide(
     """Alternate twin removal and the scattered-set rule to a fixpoint."""
     if inst.problem is not Problem.ISR:
         raise ValueError("this reduction applies to ISR instances only")
-    if params.class_threshold < 2 * inst.k:
-        raise ValueError(f"class_threshold must be >= 2k = {2 * inst.k}")
     ws = _ScatteredWorkspace(inst.graph, inst.anchors)
     ws.run(lambda: ws.scattered_once(inst.k, params))
     return ws.reduced(inst), ws.log

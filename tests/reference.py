@@ -735,7 +735,7 @@ def search_scattered(
 
 def reduce_quasiwide_once(inst: Instance, params: QuasiWideParams):
     """Delete one petal centre found by the scattered-set search in the
-    largest oversized class, or return None."""
+    largest class above max(class_threshold, 2k), or return None."""
     two_k = 2 * inst.k
     g = inst.graph
     anchors = inst.anchors
@@ -743,7 +743,7 @@ def reduce_quasiwide_once(inst: Instance, params: QuasiWideParams):
     oversized = [
         (len(vs), tuple(sorted(key)), vs)
         for key, vs in classes.items()
-        if len(vs) > params.class_threshold
+        if len(vs) > max(params.class_threshold, two_k)
     ]
     if not oversized:
         return None

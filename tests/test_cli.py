@@ -300,6 +300,32 @@ def test_strategies_agree_and_verify_accepts_solve_on_corpus(capsys, tmp_path):
         assert len(set(exits.values())) == 1
 
 
+def test_class_threshold_below_2k_acts_as_2k(capsys, tmp_path):
+    code, text, _ = run(capsys, "gen", "--n", "250", "--d", "1", "--k", "2", "--seed", "1")
+    assert code == 0
+    path = tmp_path / "forest.isr"
+    path.write_text(text)
+    reports = []
+    for threshold in ("1", "4"):
+        code, out, _ = run(
+            capsys, "solve", str(path), "--strategy", "quasiwide", "--class-threshold", threshold
+        )
+        assert code == 0
+        report = json.loads(out)
+        del report["stats"]
+        reports.append(report)
+    assert reports[0]["rules"] and reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "kernelize"])
+def test_quasiwide_flag_defaults_are_the_params_defaults(command):
+    args = cli.build_parser().parse_args([command, "--strategy", "quasiwide"])
+    params = tokenjump.QuasiWideParams(
+        args.class_threshold, args.max_deletions, args.search_budget
+    )
+    assert params == tokenjump.QuasiWideParams()
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
@@ -145,6 +148,48 @@ def test_verify_rejects_infeasible_set():
     violation = verify_sequence(P4, seq({0, 2}, {0}, {0, 1}))
     assert violation.condition == 2 and violation.index == 2
     assert violation.vertices == (0, 1)
+
+
+def test_verify_names_the_least_adjacent_pair():
+    # {1, 2, 3, 4, 5, 6} holds the edges 2-6, 2-5 and 3-4: the least vertex
+    # with a neighbour in the set is 2, and its least such neighbour is 5,
+    # though the pair 3-4 has the smaller second vertex.
+    g = Graph(range(8), [(0, 1), (2, 6), (2, 5), (3, 4), (6, 7)])
+    inst = Instance(Problem.ISR, g, 2, frozenset({0, 2}), frozenset({0, 3}))
+    violation = verify_sequence(inst, seq({0, 2}, {1, 2, 3, 4, 5, 6}))
+    assert violation.condition == 2 and violation.index == 1
+    assert violation.message == "vertices 2 and 5 are adjacent"
+    assert violation.vertices == (2, 5)
+
+
+def test_verify_names_the_least_undominated_vertex():
+    # On the path 0-...-6, {0, 5, 6} misses 2 and 3, and {4, 5, 6} misses 0, 1 and 2.
+    g = Graph(range(7), [(v, v + 1) for v in range(6)])
+    inst = Instance(Problem.DSR, g, 3, frozenset({1, 4, 6}), frozenset({1, 4, 5}))
+    violation = verify_sequence(inst, seq({1, 4, 6}, {0, 5, 6}))
+    assert violation.condition == 2 and violation.index == 1
+    assert violation.message == "vertex 2 is not dominated"
+    assert violation.vertices == (2,)
+    violation = verify_sequence(inst, seq({1, 4, 6}, {1, 4, 5, 6}, {4, 5, 6}))
+    assert violation.condition == 2 and violation.index == 2
+    assert violation.message == "vertex 0 is not dominated"
+    assert violation.vertices == (0,)
+
+
+def test_is_feasible_matches_pairwise_and_cover_checks():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.1, 0.25, 0.5))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = Graph(range(n), edges)
+        s = frozenset(v for v in range(n) if rng.random() < 0.4)
+        independent = not any(e in edges for e in itertools.combinations(sorted(s), 2))
+        covered = all(
+            v in s or any((min(u, v), max(u, v)) in edges for u in s) for v in range(n)
+        )
+        assert is_feasible(g, Problem.ISR, s) is independent
+        assert is_feasible(g, Problem.DSR, s) is covered
 
 
 def test_verify_rejects_unknown_vertex():

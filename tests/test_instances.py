@@ -252,6 +252,26 @@ def test_serialize_report_no_and_unknown():
     assert unknown["reason"] == "state budget exceeded"
 
 
+def test_report_answers_are_the_verdict_values():
+    from tokenjump import engine, instances
+
+    assert engine.Verdict is instances.Verdict is Verdict
+    assert [v.name for v in Verdict] == ["YES", "NO", "EXHAUSTED"]
+    inst = parse_instance(P4_TEXT)
+    yes = json.loads(serialize_report(bfs_reconfig(inst), ReductionLog(), inst.graph))
+    accepted = set()
+    for answer in ("yes", "no", "unknown", "exhausted", "maybe"):
+        report = dict(yes, answer=answer)
+        if answer != "yes":
+            del report["sequence"]
+        try:
+            parse_report(json.dumps(report))
+        except ReportFormatError:
+            continue
+        accepted.add(answer)
+    assert accepted == {v.value for v in Verdict}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [

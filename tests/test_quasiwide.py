@@ -283,12 +283,15 @@ def test_reduce_respects_search_budget():
     assert set(step.certificate["core"]) <= {0} | set(inst.anchors)
 
 
-def test_reduce_requires_threshold_at_least_2k():
+def test_threshold_below_2k_acts_as_2k():
     inst = Instance(
         Problem.ISR, Graph(range(30)), 3, frozenset({0, 1, 2}), frozenset({3, 4, 5})
     )
-    with pytest.raises(ValueError, match="class_threshold"):
-        kernelize_quasiwide(inst, QuasiWideParams(class_threshold=5))
+    kernel, log = kernelize_quasiwide(inst, QuasiWideParams(class_threshold=6))
+    assert len(log) > 0
+    assert kernelize_quasiwide(inst, QuasiWideParams(class_threshold=5)) == (kernel, log)
+    ref_kernel, ref_log = reference.kernelize_quasiwide(inst, QuasiWideParams(class_threshold=5))
+    assert (ref_kernel, reference.two_k_petals(ref_log, inst.k)) == (kernel, log)
 
 
 def test_solve_isolated_matches_oracle():
