@@ -14,10 +14,21 @@ times the moves per state: r_u removals at size r_u, up to n - r_l
 additions at size r_l.  It returns the same witness as a one-sided FIFO
 search would: the lexicographically least sequence of toggled vertex ids
 among all shortest paths.
+
+Each move toggles one vertex, so no path from S to T is shorter than
+|S Δ T| moves, and one of exactly that length toggles only vertices of
+S Δ T.  The search first runs in that band, with moves restricted to S Δ T
+and the two sides' depths capped at |S Δ T| in sum.  A path found there is
+a shortest path, and the band holds every shortest path and every state
+the witness rule reads, so the witness is the one the unrestricted search
+would return.  Only when the band holds no such path does the unrestricted
+search run.  States of both passes count toward ``states_explored`` and
+the budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -94,16 +105,25 @@ def bfs_reconfig(
 ) -> SearchOutcome:
     """Shortest-witness search from source to target over feasible states.
 
-    Each state has one kind of move: a state of size r_u only loses a vertex
-    and a state of size r_l only gains one.  All states of a frontier have
-    one size, so the kind of move is chosen once per layer.  Successors come
-    from the set bits of the state (removals) or of the vertices it may take
-    (additions), in ascending vertex id.  Each round expands one whole layer
-    of the side whose next layer costs less, the forward side on ties: a
-    frontier costs ``len(frontier) * r_u`` at size r_u and
-    ``len(frontier) * (n - r_l)`` at size r_l.  Which side grows changes the
-    work, not the witness.  The forward side keeps first-discovery parents,
-    the backward side distances to the target.
+    Each move toggles one vertex, so every path from S to T has at least
+    |S Δ T| moves, and a path of exactly |S Δ T| moves toggles each vertex
+    of S Δ T once and no other.  The search therefore runs at most twice.
+    The band pass lets moves toggle only vertices of S Δ T and stops once
+    the depths of its two sides sum to |S Δ T| without meeting; any path it
+    finds has |S Δ T| moves and is a shortest path.  Only when the band
+    holds none does the full pass run, with every vertex toggleable and no
+    depth limit.
+
+    Each pass is one two-sided search.  A state of size r_u only loses a
+    vertex and a state of size r_l only gains one.  All states of a frontier
+    have one size, so the kind of move is chosen once per layer.  Successors
+    come from the set bits of the state (removals) or of the vertices it may
+    take (additions), in ascending vertex id.  Each round expands one whole
+    layer of the side whose next layer costs less, the forward side on ties:
+    a frontier costs ``len(frontier) * r_u`` at size r_u and
+    ``len(frontier) * (n - r_l)`` at size r_l, in both passes.  Which side
+    grows changes the work, not the witness.  The forward side keeps
+    first-discovery parents, the backward side distances to the target.
 
     Witness rule: the lexicographically least sequence of toggled vertex ids
     among all shortest paths.  Within a layer, first-discovery order is that
@@ -116,12 +136,15 @@ def bfs_reconfig(
     and the first frontier state (in discovery order) that it met ends the
     prefix.  The prefix is that state's parent chain; the suffix steps to
     the successor with the least toggled id that is one step closer to the
-    target.
+    target.  When the band pass finds a path, every shortest path lies in
+    the band, and so do the parents and distances the rule reads, so the
+    band pass returns the witness the full pass would.
 
-    ``states_explored`` counts the distinct states of both sides, kept as a
-    running count.  The budget is checked before each insert, so the count
-    never exceeds ``state_budget``; EXHAUSTED means an insert would have
-    exceeded it before the question was resolved.
+    ``states_explored`` counts the distinct states of both sides of both
+    passes, kept as a running count.  The budget is checked before each
+    insert and caps that sum, so the count never exceeds ``state_budget``;
+    EXHAUSTED means an insert would have exceeded it before the question
+    was resolved.
     """
     if state_budget < 1:
         raise ValueError("state_budget must be >= 1")
@@ -155,10 +178,10 @@ def bfs_reconfig(
             cover |= nbr[low.bit_length() - 1]
         return cover
 
-    def removals(cur: int) -> list[int]:
-        """States one removal from ``cur``, by ascending removed vertex id."""
+    def removals(cur: int, toggles: int) -> list[int]:
+        """States one removal of a ``toggles`` bit from ``cur``, by ascending id."""
         out = []
-        rest = cur
+        rest = cur & toggles
         while rest:
             low = rest & -rest
             rest ^= low
@@ -166,20 +189,20 @@ def bfs_reconfig(
                 out.append(cur ^ low)
         return out
 
-    def additions(cur: int) -> list[int]:
-        """States one addition from ``cur``, by ascending added vertex id.
+    def additions(cur: int, toggles: int) -> list[int]:
+        """States one addition of a ``toggles`` bit to ``cur``, by ascending id.
 
         For DSR any superset of a dominating set dominates.
         """
         out = []
-        rest = full & ~(cur | cover_of(cur) if isr else cur)
+        rest = toggles & ~(cur | cover_of(cur) if isr else cur)
         while rest:
             low = rest & -rest
             rest ^= low
             out.append(cur | low)
         return out
 
-    def moves(cur: int) -> tuple[Callable[[int], list[int]], int]:
+    def moves(cur: int) -> tuple[Callable[[int, int], list[int]], int]:
         """The moves of states of ``cur``'s size, and their count per state."""
         if cur.bit_count() > r_l:
             return removals, r_u
@@ -187,67 +210,86 @@ def bfs_reconfig(
 
     src = to_mask(instance.source)
     tgt = to_mask(instance.target)
-    parent: dict[int, Optional[int]] = {src: None}  # forward side
-    dist = {tgt: 0}  # backward side: distance to the target
-    forward, backward = [src], [tgt]
-    explored = 2  # len(parent) + len(dist)
 
-    def path_to(state: Optional[int]) -> list[int]:
-        """The forward parent chain from the source to ``state``."""
-        chain = []
-        while state is not None:
-            chain.append(state)
-            state = parent[state]
-        return chain[::-1]
+    def search(toggles: int, limit: float, explored: int) -> SearchOutcome:
+        """One two-sided pass whose moves toggle only bits of ``toggles``.
 
-    def finish(chain: list[int], d: int) -> SearchOutcome:
-        """``chain`` ends d steps from the target; the suffix is greedy."""
-        cur = chain[-1]
-        while d:
-            d -= 1
-            cur = next(nm for nm in moves(cur)[0](cur) if dist.get(nm) == d)
-            chain.append(cur)
-        seq = ReconfSequence(tuple(to_set(m) for m in chain))
-        return SearchOutcome(Verdict.YES, seq, explored)
+        It gives up, answering NO, when a side runs out of states or when
+        the depths of the two sides sum to ``limit``.  ``explored`` counts
+        the states of earlier passes.
+        """
+        if explored + 2 > state_budget:
+            return SearchOutcome(Verdict.EXHAUSTED, None, explored)
+        parent: dict[int, Optional[int]] = {src: None}  # forward side
+        dist = {tgt: 0}  # backward side: distance to the target
+        forward, backward = [src], [tgt]
+        explored += 2
 
-    depth = 0  # of the backward side
-    while forward and backward:
-        layer: list[int] = []
-        ahead, ahead_cost = moves(forward[0])
-        back, back_cost = moves(backward[0])
-        if len(forward) * ahead_cost <= len(backward) * back_cost:
-            for cur in forward:
-                for nm in ahead(cur):
-                    if nm in parent:
-                        continue
+        def path_to(state: Optional[int]) -> list[int]:
+            """The forward parent chain from the source to ``state``."""
+            chain = []
+            while state is not None:
+                chain.append(state)
+                state = parent[state]
+            return chain[::-1]
+
+        def finish(chain: list[int], d: int) -> SearchOutcome:
+            """``chain`` ends d steps from the target; the suffix is greedy."""
+            cur = chain[-1]
+            while d:
+                d -= 1
+                cur = next(
+                    nm for nm in moves(cur)[0](cur, toggles) if dist.get(nm) == d
+                )
+                chain.append(cur)
+            seq = ReconfSequence(tuple(to_set(m) for m in chain))
+            return SearchOutcome(Verdict.YES, seq, explored)
+
+        depth = ahead_depth = 0  # of the backward and the forward side
+        while forward and backward and depth + ahead_depth < limit:
+            layer: list[int] = []
+            ahead, ahead_cost = moves(forward[0])
+            back, back_cost = moves(backward[0])
+            if len(forward) * ahead_cost <= len(backward) * back_cost:
+                for cur in forward:
+                    for nm in ahead(cur, toggles):
+                        if nm in parent:
+                            continue
+                        if nm in dist:
+                            return finish(path_to(cur) + [nm], dist[nm])
+                        if explored >= state_budget:
+                            return SearchOutcome(Verdict.EXHAUSTED, None, explored)
+                        parent[nm] = cur
+                        explored += 1
+                        layer.append(nm)
+                forward = layer
+                ahead_depth += 1
+                continue
+            met: set[int] = set()
+            for cur in backward:
+                for nm in back(cur, toggles):
                     if nm in dist:
-                        return finish(path_to(cur) + [nm], dist[nm])
-                    if explored >= state_budget:
-                        return SearchOutcome(Verdict.EXHAUSTED, None, explored)
-                    parent[nm] = cur
-                    explored += 1
-                    layer.append(nm)
-            forward = layer
-            continue
-        met: set[int] = set()
-        for cur in backward:
-            for nm in back(cur):
-                if nm in dist:
-                    continue
-                if nm in parent:
-                    met.add(nm)  # necessarily on the forward frontier
-                elif not met:
-                    if explored >= state_budget:
-                        return SearchOutcome(Verdict.EXHAUSTED, None, explored)
-                    dist[nm] = depth + 1
-                    explored += 1
-                    layer.append(nm)
-        if met:
-            first = next(s for s in forward if s in met)
-            return finish(path_to(first), depth + 1)
-        backward = layer
-        depth += 1
-    return SearchOutcome(Verdict.NO, None, explored)
+                        continue
+                    if nm in parent:
+                        met.add(nm)  # necessarily on the forward frontier
+                    elif not met:
+                        if explored >= state_budget:
+                            return SearchOutcome(Verdict.EXHAUSTED, None, explored)
+                        dist[nm] = depth + 1
+                        explored += 1
+                        layer.append(nm)
+            if met:
+                first = next(s for s in forward if s in met)
+                return finish(path_to(first), depth + 1)
+            backward = layer
+            depth += 1
+        return SearchOutcome(Verdict.NO, None, explored)
+
+    band = src ^ tgt
+    outcome = search(band, band.bit_count(), 0)
+    if outcome.verdict is Verdict.NO:
+        outcome = search(full, math.inf, outcome.states_explored)
+    return outcome
 
 
 def verify_sequence(instance: Instance, seq: ReconfSequence) -> Optional[Violation]:

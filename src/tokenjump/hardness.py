@@ -19,7 +19,6 @@ between the two solvers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -126,19 +125,26 @@ def isr_to_dsr(inst: Instance) -> tuple[Instance, GadgetMap]:
             position_of[next_id] = (i, p)
             next_id += 1
 
-    edges: list[tuple[int, int]] = []
+    adj: list[set[int]] = [set() for _ in range(next_id)]  # by gadget id
+
+    def add_block(targets: list[int]) -> tuple[int, ...]:
+        """k + 2 new vertices, the next ids, each adjacent to every target."""
+        block = tuple(range(len(adj), len(adj) + k + 2))
+        adj.extend(set(targets) for _ in block)
+        for t in targets:
+            adj[t].update(block)
+        return block
+
     for i in range(1, k + 1):
         ci = [clique_vertex[(i, p)] for p in range(1, n + 1)]
-        edges.extend(itertools.combinations(ci, 2))
+        for v in ci:
+            adj[v].update(ci)
+            adj[v].discard(v)
 
-    forcers: list[tuple[int, ...]] = []
-    for i in range(1, k + 1):
-        fi = tuple(range(next_id, next_id + k + 2))
-        next_id += k + 2
-        forcers.append(fi)
-        for f in fi:
-            for p in range(1, n + 1):
-                edges.append((clique_vertex[(i, p)], f))
+    forcers = [
+        add_block([clique_vertex[(i, p)] for p in range(1, n + 1)])
+        for i in range(1, k + 1)
+    ]
 
     guards: list[GuardSet] = []
     for i in range(1, k + 1):
@@ -147,9 +153,6 @@ def isr_to_dsr(inst: Instance) -> tuple[Instance, GadgetMap]:
                 for q in range(1, n + 1):
                     if p != q and (q - 1) not in g.neighbor_set(p - 1):
                         continue
-                    vs = tuple(range(next_id, next_id + k + 2))
-                    next_id += k + 2
-                    guards.append(GuardSet(i, j, p, q, vs))
                     excluded = {clique_vertex[(i, p)], clique_vertex[(j, q)]}
                     targets = [
                         clique_vertex[(x, r)]
@@ -157,9 +160,7 @@ def isr_to_dsr(inst: Instance) -> tuple[Instance, GadgetMap]:
                         for r in range(1, n + 1)
                         if clique_vertex[(x, r)] not in excluded
                     ]
-                    for guard_v in vs:
-                        for t in targets:
-                            edges.append((t, guard_v))
+                    guards.append(GuardSet(i, j, p, q, add_block(targets)))
 
     gm = GadgetMap(
         k=k,
@@ -176,7 +177,7 @@ def isr_to_dsr(inst: Instance) -> tuple[Instance, GadgetMap]:
         target = _embed_sorted(gm, inst.target)
     gadget_inst = Instance(
         Problem.DSR,
-        Graph(range(next_id), edges),
+        Graph._of({v: frozenset(ns) for v, ns in enumerate(adj)}),
         k,
         _embed_sorted(gm, inst.source),
         target,

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
+    Graph,
+    Instance,
+    Problem,
     Verdict,
     bfs_reconfig,
     gen_random_degenerate,
@@ -87,6 +90,33 @@ def test_forest_search_grows_the_cheaper_side():
     assert verify_sequence(inst, out.sequence) is None
 
 
+def test_forest_search_stays_in_the_band():
+    """The k = 3 forest has a witness of |S Δ T| moves, which the band pass
+    finds; the single two-sided search explored 18,877 states here."""
+    inst = plant_isr_instance(gen_random_degenerate(2000, 1, 2), 3, 2)
+    out = bfs_reconfig(inst)
+    assert out.verdict is Verdict.YES
+    assert out.sequence.length == len(inst.source ^ inst.target)
+    assert out.states_explored <= 100
+
+
+def test_blocked_band_falls_back_to_the_full_search():
+    """K_{2,2} between S and T on the k = 2 forest leaves the band without a
+    path, so the full pass must grow the cheaper side.  The single two-sided
+    search returned this witness in 9,980 states."""
+    base = plant_isr_instance(gen_random_degenerate(2000, 1, 2), 2, 2)
+    edges = [*base.graph.edges()]
+    edges += [(s, t) for s in base.source for t in base.target]
+    graph = Graph(base.graph.vertices, edges)
+    inst = Instance(Problem.ISR, graph, 2, base.source, base.target)
+    out = bfs_reconfig(inst, state_budget=20_000)
+    assert out.verdict is Verdict.YES
+    assert verify_sequence(inst, out.sequence) is None
+    assert [sorted(s) for s in out.sequence.sets] == [
+        [1366, 1529], [1529], [0, 1529], [0], [0, 637], [637], [637, 904],
+    ]
+
+
 @st.composite
 def small_isr_and_dsr_instances(draw):
     n = draw(st.integers(2, 10))
@@ -107,3 +137,18 @@ def test_same_witness_as_fifo_search_on_small_instances(inst):
     ours, theirs = bfs_reconfig(inst), reference.fifo_bfs(inst)
     assert ours.verdict is theirs.verdict
     assert ours.sequence == theirs.sequence
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_isr_and_dsr_instances())
+def test_no_witness_is_shorter_than_the_band(inst):
+    """Each move toggles one vertex, so a witness has at least |S Δ T|
+    moves, and one of exactly |S Δ T| moves toggles only S Δ T."""
+    out = bfs_reconfig(inst)
+    if out.verdict is not Verdict.YES:
+        return
+    band = inst.source ^ inst.target
+    sets = out.sequence.sets
+    assert out.sequence.length >= len(band)
+    if out.sequence.length == len(band):
+        assert all(a ^ b <= band for a, b in zip(sets, sets[1:]))
