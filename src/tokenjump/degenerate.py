@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, bitset_index, degeneracy_core, set_bits
+from .graph import Graph, bitset_index, degeneracy_core, mask_of, set_bits
 from .instances import (
     RULE_SUNFLOWER,
     RULE_TWIN,
@@ -79,9 +79,7 @@ class Workspace:
         self.graph = graph
         self.verts, self.pos, self.nbr = bitset_index(graph)
         self.alive = (1 << len(self.verts)) - 1
-        self.anchor_mask = 0
-        for v in anchors:
-            self.anchor_mask |= 1 << self.pos[v]
+        self.anchor_mask = mask_of(self.pos, anchors)
         self.log = ReductionLog()
         self._groups: dict[int, list[int]] = {}
         self._rekeyed = list(set_bits(self.alive & ~self.anchor_mask))
@@ -311,36 +309,31 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
 
     The degeneracy is maintained under every deletion, so each attempt uses
     the degeneracy of the current graph and the threshold only shrinks as
-    the graph does.  The certified size bound is checked before returning.
-    If anything was deleted, ``degeneracy_core`` peels d again from the
-    bitset index of the kernel's own ``Graph``, never from the workspace
-    masks, so the check does not trust the maintained d; a violation signals
-    an implementation bug, not bad input.  That index is kept on the kernel
-    graph, and the search on the kernel reuses it; when nothing was deleted,
-    the search reuses the index the workspace was built from.
+    the graph does.  The certified size bound is checked before returning,
+    on the bitset index of the kernel's own ``Graph``, not the workspace
+    masks, so it trusts no maintained state: it counts the low-degree and
+    non-anchor vertices there and, if anything was deleted, peels d again
+    with ``degeneracy_core``.  A violation signals an implementation bug,
+    not bad input.  The search on the kernel reuses that index, the one the
+    workspace was built from when nothing was deleted.
     """
     if inst.problem is not Problem.ISR:
         raise ValueError("this reduction applies to ISR instances only")
     ws = _LowDegreeWorkspace(inst)
     ws.run(ws.low_degree_once)
     cur = ws.reduced(inst)
-    if ws.log.steps:
-        d = degeneracy_core(bitset_index(cur.graph)[2], (1 << cur.graph.n) - 1)[0]
-    else:
-        d = ws.d
+    _, pos, nbr = bitset_index(cur.graph)
+    every = (1 << len(nbr)) - 1
+    d = degeneracy_core(nbr, every)[0] if ws.log.steps else ws.d
     low_bound = low_degree_threshold(d, cur.k)
     total_bound = kernel_vertex_bound(d, cur.k)
-    anchors = cur.anchors
-    g = cur.graph
-    low_count = sum(
-        1 for v in g.vertices if v not in anchors and g.degree(v) <= 2 * d
-    )
-    non_anchor = g.n - len(anchors & g.vertex_set)
+    rest = every & ~mask_of(pos, cur.anchors)
+    low_count = sum(1 for i in set_bits(rest) if nbr[i].bit_count() <= 2 * d)
     if (
         d != ws.d
         or low_count > low_bound
-        or non_anchor > (2 * d + 1) * low_bound
-        or g.n > total_bound
+        or rest.bit_count() > (2 * d + 1) * low_bound
+        or len(nbr) > total_bound
     ):
         raise RuntimeError("kernel bound violated; this is an internal error")
     return DegenerateKernel(

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import bitset_index
+from .graph import bitset_index, mask_of, set_bits
 from .instances import Instance, Problem, ReductionLog, Verdict, infeasibility
 
 __all__ = [
@@ -160,14 +160,8 @@ def bfs_reconfig(
     if not isr:  # DSR covers with closed neighborhoods
         nbr = [mask | 1 << i for i, mask in enumerate(nbr)]
 
-    def to_mask(s: frozenset[int]) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << pos[v]
-        return m
-
     def to_set(mask: int) -> frozenset[int]:
-        return frozenset(verts[i] for i in range(n) if mask >> i & 1)
+        return frozenset(verts[i] for i in set_bits(mask))
 
     def cover_of(mask: int) -> int:
         """The union of the neighbor masks of the members of ``mask``."""
@@ -208,8 +202,8 @@ def bfs_reconfig(
             return removals, r_u
         return additions, n - r_l
 
-    src = to_mask(instance.source)
-    tgt = to_mask(instance.target)
+    src = mask_of(pos, instance.source)
+    tgt = mask_of(pos, instance.target)
 
     def search(toggles: int, limit: float, explored: int) -> SearchOutcome:
         """One two-sided pass whose moves toggle only bits of ``toggles``.

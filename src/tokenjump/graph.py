@@ -2,8 +2,8 @@
 
 Also the bitset helpers every layer shares, each the one place its fact is
 computed: ``bitset_index`` numbers the vertices and builds neighbor masks,
-``set_bits`` lists a mask's positions, and ``degeneracy_core`` peels the
-degeneracy and its core from those masks.
+``mask_of`` masks a set of ids, ``set_bits`` lists a mask's positions, and
+``degeneracy_core`` peels the degeneracy and its core from those masks.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ class Graph:
     @property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self._adj)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
 
     def degree(self, v: int) -> int:
         return len(self.neighbor_set(v))
@@ -190,6 +187,14 @@ def degeneracy_core(nbr: list[int], alive: int) -> tuple[int, int]:
                     buckets[k - 1] |= bit
                     deg[w] = k - 1
     return d, core
+
+
+def mask_of(pos: dict[int, int], vertices: Iterable[int]) -> int:
+    """The mask of the bit positions that ``pos`` gives ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << pos[v]
+    return mask
 
 
 def set_bits(mask: int) -> Iterator[int]:

@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Optional
 
 from .degenerate import Workspace
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, set_bits
+from .graph import Graph, mask_of, set_bits
 from .instances import (
     RULE_QUASIWIDE,
     Instance,
@@ -216,26 +216,25 @@ class _ScatteredWorkspace(Workspace):
     """Workspace for the scattered-set rule.
 
     "Rest", the graph the search runs in, is the live non-anchor part.
-    Anchors are never deleted, so no vertex changes its anchor class: the
-    classes are computed once and keep their live members in ascending
-    order.  Each pool vertex's radius-2 ball in the rest is cached across
-    deletions.  A deletion drops its own ball and those of its neighbors in
-    the rest; a ball centred two steps away only loses the deleted bit.
+    Anchors are never deleted, so the classes are computed once, keyed by
+    the mask of the anchors their members see, with members ascending; a
+    deleted position leaves the class its anchor neighbors key.  Each pool
+    vertex's radius-2 ball in the rest is cached until a deletion at or next
+    to its centre; a ball centred two steps away only loses the deleted bit.
     """
 
     def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
         super().__init__(graph, anchors)
         pos = self.pos
         self._classes = {
-            tuple(sorted(key)): [pos[v] for v in vs]
+            mask_of(pos, key): [pos[v] for v in vs]
             for key, vs in partition_by_solution_neighborhood(graph, anchors).items()
         }
-        self._class_of = {i: vs for vs in self._classes.values() for i in vs}
         self._balls: dict[int, int] = {}
 
     def delete(self, i: int, step: ReductionStep) -> int:
         nb = super().delete(i, step)
-        self._class_of.pop(i).remove(i)
+        self._classes[nb & self.anchor_mask].remove(i)
         balls, bit = self._balls, 1 << i
         first = nb & ~self.anchor_mask
         second = 0
@@ -415,7 +414,9 @@ class _ScatteredWorkspace(Workspace):
         two_k = 2 * k
         threshold = max(params.class_threshold, two_k)
         oversized = [
-            (-len(vs), key, vs) for key, vs in self._classes.items() if len(vs) > threshold
+            (-len(vs), list(set_bits(key)), vs)
+            for key, vs in self._classes.items()
+            if len(vs) > threshold
         ]
         if not oversized:
             return None
@@ -444,12 +445,10 @@ def kernelize_quasiwide(
 
 def solve_isr_quasiwide(
     inst: Instance,
-    params: QuasiWideParams | None = None,
+    params: QuasiWideParams,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> SolveResult:
     """Reduce to a fixpoint, then search the residual graph."""
-    if params is None:
-        params = QuasiWideParams()
     kernel, log = kernelize_quasiwide(inst, params)
     outcome = bfs_reconfig(kernel, budget)
     return SolveResult(outcome=outcome, log=log, kernel=kernel)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
+    QuasiWideParams,
     gen_random_degenerate,
     kernelize_degenerate,
+    kernelize_quasiwide,
     parse_instance,
     parse_report,
     plant_isr_instance,
@@ -242,6 +244,18 @@ def test_solve_and_kernelize_write_one_rule_per_line(capsys, tmp_path):
         },
     )
 
+    kernel, log = kernelize_quasiwide(inst, QuasiWideParams())
+    code, out, _ = run(capsys, "kernelize", str(path), "--strategy", "quasiwide")
+    assert code == 0 and log.steps
+    assert_one_rule_per_line(
+        out,
+        {
+            "instance": serialize_instance(kernel),
+            "kernel": kernel_to_json(kernel.graph, log),
+            "rules": rules_to_json(log),
+        },
+    )
+
 
 def test_kernelize_dsr(capsys, tmp_path):
     path = tmp_path / "p3.dsr"
@@ -339,6 +353,9 @@ def test_malformed_input_exits_65(capsys, tmp_path):
     path.write_text("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 2\nt 2 4\n")
     code, _, err = run(capsys, "solve", str(path))
     assert code == 65 and "not independent" in err
+    path.write_text(P4_TEXT.replace("s 1 3", "s 1 x"))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 65 and "line 5: expected an integer, got 'x'" in err
 
 
 def test_unknown_flag_exits_64(capsys, p4_file):

@@ -70,6 +70,8 @@ def test_core_of_p3_is_the_endpoints():
 def test_core_requires_feasible_k():
     with pytest.raises(InfeasibleInstanceError):
         compute_bounded_core(Graph(range(5)), 1)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        compute_bounded_core(Graph(range(5)), 0)
 
 
 def test_core_property_on_random_graphs():
@@ -271,3 +273,5 @@ def test_solve_rejects_isr_input():
     isr = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
     with pytest.raises(ValueError):
         solve_dsr(isr)
+    with pytest.raises(ValueError, match="DSR instances only"):
+        remove_core_twins(isr, compute_bounded_core(isr.graph, 2))

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
@@ -72,6 +73,11 @@ def test_budget_semantics_are_monotone():
     resolved = next(i for i, v in enumerate(verdicts) if v is not Verdict.EXHAUSTED)
     assert all(v is verdicts[resolved] for v in verdicts[resolved:])
     assert verdicts[resolved] is Verdict.YES
+
+
+def test_state_budget_below_one_is_rejected():
+    with pytest.raises(ValueError, match="state_budget must be >= 1"):
+        bfs_reconfig(P4, state_budget=0)
 
 
 def test_exhausted_reports_budget_states():

@@ -155,6 +155,12 @@ def test_kernelization_leaves_the_parsed_index_intact():
     assert bitset_index(h) == bitset_index(h, h.vertices)
 
 
+def test_induced_subgraph_rejects_an_unknown_vertex():
+    assert path(4).induced_subgraph([0, 1, 3]).neighbors(1) == (0,)
+    with pytest.raises(KeyError, match="vertex 9 not in graph"):
+        path(4).induced_subgraph([0, 9, 12])
+
+
 def test_closed_neighborhood_examples():
     g = star(3)
     assert g.closed_neighbor_set(0) == {0, 1, 2, 3}

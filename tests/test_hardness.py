@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -24,6 +25,8 @@ import reference
 
 P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
 P3 = parse_instance("p isr 3 2 2\ne 1 2\ne 2 3\ns 1 3\nt 1 3\n")
+# No token of C4 can move, so {v1, v3} never reaches {v2, v4}.
+C4_NO = parse_instance("p isr 4 4 2\ne 1 2\ne 2 3\ne 3 4\ne 1 4\ns 1 3\nt 2 4\n")
 
 
 def test_vertex_count_formula_on_p3():
@@ -115,10 +118,33 @@ def test_structural_claims_on_tiny_gadgets():
             assert reference.independent(inst.graph, projected)
 
 
+def small_isr_no_instances(count):
+    """``count`` k = 2 ISR no-instances on 4-6 vertices, from a seeded sweep."""
+    rng = random.Random(0x5EED6)
+    found = []
+    while len(found) < count:
+        n = rng.randint(4, 6)
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph(range(n), [e for e in pairs if rng.random() < 0.5])
+        sets = [
+            frozenset(c)
+            for c in itertools.combinations(range(n), 2)
+            if reference.independent(g, c)
+        ]
+        if len(sets) < 2:
+            continue
+        inst = Instance(Problem.ISR, g, 2, *rng.sample(sets, 2))
+        if reference.fifo_bfs(inst).verdict is Verdict.NO:
+            found.append(inst)
+    return found
+
+
 def test_projection_direction_is_sound():
     # A gadget witness always projects to an original witness of equal length,
     # so gadget-yes implies original-yes and original-no implies gadget-no.
-    for inst in reference.tiny_isr_corpus()[:25]:
+    # The tiny corpus holds only yes-instances, so no-instances are added.
+    no_checked = 0
+    for inst in reference.tiny_isr_corpus()[:25] + [C4_NO] + small_isr_no_instances(5):
         gadget, gm = isr_to_dsr(inst)
         ours = bfs_reconfig(inst)
         theirs = bfs_reconfig(gadget)
@@ -130,6 +156,13 @@ def test_projection_direction_is_sound():
             assert ours.sequence.length <= mapped.length
         if ours.verdict is Verdict.NO:
             assert theirs.verdict is Verdict.NO
+            # with no ISR witness to lift, the target is embedded in sorted order
+            sorted_target = frozenset(
+                gm.clique_vertex[(i, v + 1)] for i, v in enumerate(sorted(inst.target), 1)
+            )
+            assert gadget.target == sorted_target
+            no_checked += 1
+    assert no_checked >= 6
 
 
 def test_sorted_embedding_can_lose_reachability():
@@ -240,6 +273,32 @@ def test_map_sequence_back_rejects_malformed_shapes():
     )
     with pytest.raises(GadgetShapeError, match="different cliques"):
         map_sequence_back(gm, cross)
+
+
+def _p4_shapes():
+    """Malformed gadget sequences on P4's gadget, each with the error it must raise."""
+    gadget, gm = isr_to_dsr(P4)
+    c = gm.clique_vertex
+    start = gadget.source  # c(1, 1) and c(2, 3)
+    up = start | {c[(1, 2)]}
+    guard = gm.guard_sets[0].vertices[0]
+    return gm, [
+        ((frozenset({c[(1, 1)], c[(1, 2)]}),), "set picks two vertices from clique 1"),
+        ((frozenset({c[(1, 1)]}),), "set does not pick one vertex from every clique"),
+        ((start, up | {c[(2, 4)]}, start), "step 1 is not a single addition"),
+        ((start, up, up), "step 2 is not a single removal"),
+        ((start, start | {guard}, start), "intermediate set touches a non-clique vertex"),
+        # adding and removing c(1, 2) projects to {v1, v2, v3}, not to the start
+        ((start, up, start), "projection mismatch at step 2"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_map_sequence_back_names_each_shape_fault(case):
+    gm, shapes = _p4_shapes()
+    sets, message = shapes[case]
+    with pytest.raises(GadgetShapeError, match=f"^{message}$"):
+        map_sequence_back(gm, ReconfSequence(sets))
 
 
 def test_gadget_map_json_uses_file_coordinates():

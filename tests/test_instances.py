@@ -102,6 +102,8 @@ def test_parsed_graph_equals_the_graph_of_its_edges(data):
         (lambda t: t.replace("p isr 4 3 2", "p isr 100001 3 2"), "line 1: n must be <= 100000"),
         (lambda t: t.replace("p isr 4 3 2", "p isr 4 -1 2"), "m must be >= 0"),
         (lambda t: t.replace("p isr 4 3 2", "p isr 4 3 0"), "line 1: k must be >= 1"),
+        (lambda t: t.replace("s 1 3", "s 1 x"), "line 5: expected an integer, got 'x'"),
+        (lambda t: t.replace("t 2 4", "t 2.5 4"), "line 6: expected an integer, got '2.5'"),
     ],
 )
 def test_parse_errors(mangle, fragment):
@@ -293,6 +295,7 @@ def test_report_answers_are_the_verdict_values():
         lambda r: r["stats"].update(ms=float("nan")),
         # a vertex named twice in one entry is not a set of k tokens
         lambda r: r["sequence"][-1].append(r["sequence"][-1][0]),
+        lambda r: r.update(rules={}),
     ],
 )
 def test_parse_report_rejects_corruption(corrupt):
@@ -306,6 +309,8 @@ def test_parse_report_rejects_corruption(corrupt):
 def test_parse_report_rejects_non_json():
     with pytest.raises(ReportFormatError):
         parse_report("not json at all")
+    with pytest.raises(ReportFormatError, match="must be a JSON object"):
+        parse_report("[]")
 
 
 def test_parse_instance_rejects_non_utf8_bytes_with_offset():

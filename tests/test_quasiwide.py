@@ -260,6 +260,14 @@ def test_distance_two_balls_survive_a_deletion(monkeypatch):
     assert (kernel, log) == reference.kernelize_quasiwide(inst, QuasiWideParams())
 
 
+@pytest.mark.parametrize(
+    "field, value", [("class_threshold", 0), ("max_deletions", -1), ("search_budget", 0)]
+)
+def test_params_reject_each_field_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        QuasiWideParams(**{field: value})
+
+
 def test_reduce_absent_when_classes_are_small():
     inst = Instance(
         Problem.ISR, Graph(range(10)), 2, frozenset({0, 1}), frozenset({2, 3})
