@@ -108,10 +108,12 @@ class Workspace:
     ) -> ReductionStep:
         """Delete the first petal centre of a sunflower rule, and return its step.
 
-        ``_sunflower_core`` checks the petals' closed neighborhoods first.
-        The certificate names the core and the petal centres, and the
-        deletion set when ``deletions`` is given, all in vertex ids.
+        Only the first ``wanted`` petals are kept: ``_sunflower_core`` checks
+        their closed neighborhoods first, and the certificate names the core
+        and those petal centres, and the deletion set when ``deletions`` is
+        given, all in vertex ids.
         """
+        petals = petals[:wanted]
         core = _sunflower_core(self.nbr, petals, allowed, wanted)
         verts = self.verts
         certificate = {

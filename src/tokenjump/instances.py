@@ -134,12 +134,9 @@ class ReductionStep:
       quasi-wide            {"core": [...], "petal_centers": [...], "deletions": [...]}
       core-twin             {"survivor": v, "shared_core_neighborhood": [...]}
 
-    The petal centers' closed neighborhoods meet pairwise in exactly the
-    core, and the first center is the deleted vertex.  A
-    ``sunflower-degenerate`` step, and a ``quasi-wide`` step with no
-    deletions, lists the 2k petals the rule needs, in ascending id; a
-    ``quasi-wide`` step past B = {} lists the whole cell of its scattered
-    set, 2k or more.
+    Both sunflower rules list the 2k petal centers the rule needs, in
+    ascending id; their closed neighborhoods meet pairwise in exactly the
+    core, and the first center is the deleted vertex.
     """
 
     rule: str

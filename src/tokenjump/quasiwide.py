@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Optional
 
 from .degenerate import Workspace
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, mask_of, set_bits
+from .graph import Graph, set_bits
 from .instances import (
     RULE_QUASIWIDE,
     Instance,
@@ -225,11 +225,9 @@ class _ScatteredWorkspace(Workspace):
 
     def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
         super().__init__(graph, anchors)
-        pos = self.pos
-        self._classes = {
-            mask_of(pos, key): [pos[v] for v in vs]
-            for key, vs in partition_by_solution_neighborhood(graph, anchors).items()
-        }
+        self._classes: dict[int, list[int]] = {}
+        for i in set_bits(self.alive & ~self.anchor_mask):
+            self._classes.setdefault(self.nbr[i] & self.anchor_mask, []).append(i)
         self._balls: dict[int, int] = {}
 
     def delete(self, i: int, step: ReductionStep) -> int:
@@ -405,11 +403,11 @@ class _ScatteredWorkspace(Workspace):
         rest.  A candidate deletion set B of
         size s must come with at least 2k * 2^s scattered vertices, so that
         by pigeonhole some cell of equal B-neighborhood keeps 2k of them; the
-        largest cell's closed neighborhoods form the certifying sunflower,
-        since the scattered balls make them meet exactly in the shared anchor
-        and B neighbors.  Expects closed twins outside the anchors to be
-        removed already.  A certificate that fails validation is an internal
-        error.
+        closed neighborhoods of the first 2k of the largest cell form the
+        certifying sunflower, since the scattered balls make them meet
+        exactly in the shared anchor and B neighbors.  Expects closed twins
+        outside the anchors to be removed already.  A certificate that fails
+        validation is an internal error.
         """
         two_k = 2 * k
         threshold = max(params.class_threshold, two_k)

@@ -31,6 +31,7 @@ from tokenjump import (
     Verdict,
     bfs_reconfig,
     gen_random_degenerate,
+    isr_to_dsr,
     kernel_vertex_bound,
     low_degree_threshold,
     partition_by_solution_neighborhood,
@@ -44,6 +45,7 @@ ISR_CORPUS_SIZE = 500
 DSR_CORPUS_SIZE = 300
 TINY_CORPUS_SIZE = 100
 NO_CORPUS_SIZE = 120  # per problem
+BLOCKED_CORPUS_SIZE = 30  # ISR instances; the DSR gadgets come on top
 
 
 def independent(g: Graph, s) -> bool:
@@ -332,7 +334,7 @@ def check_reduction_log(inst: Instance, log, kernel_graph: Graph) -> None:
         if step.rule in ("sunflower-degenerate", "quasi-wide"):
             centers = cert["petal_centers"]
             assert step.vertex == centers[0]
-            assert len(centers) >= 2 * inst.k
+            assert len(centers) == 2 * inst.k
             assert not (set(centers) & anchors)
             family = SetFamily([g.closed_neighbor_set(c) for c in centers])
             flower = Sunflower(
@@ -572,17 +574,14 @@ def log_digest(runs) -> str:
 def two_k_petals(log: ReductionLog, k: int) -> ReductionLog:
     """A reference log as the solver writes it: petal lists cut to their first 2k.
 
-    The kernels list only the 2k petals the rule needs where a greedy can
-    stop there: every ``sunflower-degenerate`` step, and ``quasi-wide``
-    steps with no deletions.  Past B = {} the whole cell stays.  Rules,
-    vertices, cores and deletion sets are kept as they are.
+    The kernels list only the 2k petals the rule needs, in every
+    ``sunflower-degenerate`` and ``quasi-wide`` step.  Rules, vertices,
+    cores and deletion sets are kept as they are.
     """
     steps = []
     for step in log:
         cert = step.certificate
-        if step.rule == "sunflower-degenerate" or (
-            step.rule == "quasi-wide" and not cert["deletions"]
-        ):
+        if step.rule in ("sunflower-degenerate", "quasi-wide"):
             step = ReductionStep(
                 step.rule, step.vertex, {**cert, "petal_centers": cert["petal_centers"][: 2 * k]}
             )
@@ -1011,3 +1010,49 @@ def no_instance_corpus() -> list[Instance]:
                     found += 1
         _cache["no"] = corpus
     return _cache["no"]
+
+
+def _blocked(base: Optional[Instance]) -> Optional[Instance]:
+    """``base`` with every edge between S minus T and T minus S added, if its
+    oracle witness then has more than |S Δ T| moves; else None.
+
+    Every band state with tokens on both sides is then infeasible, so a
+    witness must detour outside S Δ T.  With |S Δ T| = 2 the band still holds
+    a path: remove the source token, then add the target one.
+    """
+    if base is None:
+        return None
+    edges = [*base.graph.edges()]
+    edges += [(s, t) for s in base.source - base.target for t in base.target - base.source]
+    graph = Graph(base.graph.vertices, edges)
+    inst = Instance(Problem.ISR, graph, base.k, base.source, base.target)
+    out = bfs_reconfig(inst)
+    if out.verdict is Verdict.YES and out.sequence.length > len(inst.source ^ inst.target):
+        return inst
+    return None
+
+
+def blocked_corpus() -> list[Instance]:
+    """Planted instances whose band holds no path, so that the search must
+    run its full pass and the kernels decide what it runs on.
+
+    30 ISR instances on d = 2-3 graphs with n = 20-40 and k = 3-4 (witnesses
+    of 6-14 moves against bands of 4-8), then the DSR gadgets of the blocked
+    n = 6, k = 2 trees of seeds 0-29 (92-116 vertices, witnesses of 6 moves
+    against bands of 4).
+    """
+    if "blocked" not in _cache:
+        rng = random.Random(0x5EED8)
+        corpus = []
+        while len(corpus) < BLOCKED_CORPUS_SIZE:
+            n, d, k = rng.randint(20, 40), rng.choice((2, 3)), rng.choice((3, 4))
+            seed = rng.randrange(2**30)
+            inst = _blocked(plant_isr_instance(gen_random_degenerate(n, d, seed), k, seed))
+            if inst is not None:
+                corpus.append(inst)
+        for seed in range(30):
+            inst = _blocked(plant_isr_instance(gen_random_degenerate(6, 1, seed), 2, seed))
+            if inst is not None:
+                corpus.append(isr_to_dsr(inst)[0])
+        _cache["blocked"] = corpus
+    return _cache["blocked"]

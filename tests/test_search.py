@@ -1,7 +1,9 @@
 """The two-sided search against the one-sided FIFO search it replaced.
 
 ``reference.fifo_bfs`` is the former ``bfs_reconfig``.  The two must agree
-on verdicts and on the witnesses themselves, not only on their lengths.
+on verdicts and on the witnesses themselves, not only on their lengths.  On
+the blocked-band corpus, where the band pass finds nothing, the kernelizing
+solvers are held to the FIFO search's answers too.
 """
 
 import pytest
@@ -11,11 +13,15 @@ from tokenjump import (
     Graph,
     Instance,
     Problem,
+    QuasiWideParams,
     Verdict,
     bfs_reconfig,
     gen_random_degenerate,
     plant_dsr_instance,
     plant_isr_instance,
+    solve_dsr,
+    solve_isr_degenerate,
+    solve_isr_quasiwide,
     verify_sequence,
 )
 
@@ -27,6 +33,7 @@ CORPORA = {
     "tiny": reference.tiny_isr_corpus,
     "sparse": reference.sparse_corpus,
     "no": reference.no_instance_corpus,
+    "blocked": reference.blocked_corpus,
 }
 _fifo: dict[str, list] = {}
 
@@ -78,6 +85,31 @@ def test_tight_budgets_count_every_state(name):
         short = bfs_reconfig(inst, state_budget=count - 1)
         assert short.verdict is Verdict.EXHAUSTED
         assert short.states_explored == count - 1
+
+
+def test_blocked_corpus_leaves_the_band():
+    corpus = reference.blocked_corpus()
+    assert [inst.problem.value for inst in corpus] == ["isr"] * 30 + ["dsr"] * 7
+    for inst, theirs in zip(corpus, fifo_outcomes("blocked")):
+        assert theirs.verdict is Verdict.YES
+        assert theirs.sequence.length > len(inst.source ^ inst.target)
+
+
+def test_solvers_match_the_oracle_on_blocked_bands():
+    """Where the band holds no path, the answer comes from the full search on
+    the kernel: the ISR kernels must keep the oracle's verdict, and the DSR
+    kernel its length too."""
+    for inst, theirs in zip(reference.blocked_corpus(), fifo_outcomes("blocked")):
+        if inst.problem is Problem.ISR:
+            params = QuasiWideParams(class_threshold=2 * inst.k)
+            results = [solve_isr_degenerate(inst), solve_isr_quasiwide(inst, params)]
+        else:
+            results = [solve_dsr(inst)]
+            assert results[0].outcome.sequence.length == theirs.sequence.length
+        for result in results:
+            assert result.outcome.verdict is theirs.verdict
+            assert verify_sequence(inst, result.outcome.sequence) is None
+            reference.check_reduction_log(inst, result.log, result.kernel.graph)
 
 
 def test_forest_search_grows_the_cheaper_side():
