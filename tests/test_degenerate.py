@@ -265,3 +265,75 @@ def test_a_failed_low_degree_certificate_is_an_internal_error(
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"tokenjump: internal error: RuntimeError: {message}\n"
+
+
+ISR_CORPORA = (
+    lambda: [inst for inst, _ in reference.isr_corpus()],
+    reference.tiny_isr_corpus,
+    reference.sparse_corpus,
+    reference.deletion_corpus,
+    reference.hub_corpus,
+    reference.no_instance_corpus,
+    reference.blocked_corpus,
+)
+
+
+def test_solve_searches_the_input_only_where_the_kernel_is_the_input():
+    """Every ISR instance of the reference corpora: where the shortcut
+    predicate holds, the kernel (bound check included) is the instance
+    itself, and ``solve_isr_degenerate`` answers as the plain search does."""
+    insts = [
+        inst for corpus in ISR_CORPORA for inst in corpus() if inst.problem is Problem.ISR
+    ]
+    accepted = 0
+    for inst in insts:
+        if not degenerate._kernel_is_identity(inst):
+            continue
+        accepted += 1
+        kern = kernelize_degenerate(inst)
+        assert kern.kernel is inst and kern.log.steps == []
+        result, oracle = solve_isr_degenerate(inst), bfs_reconfig(inst)
+        assert result.kernel is inst and result.log.steps == []
+        assert result.outcome.verdict is oracle.verdict
+        assert result.outcome.sequence == oracle.sequence
+        assert result.outcome.states_explored == oracle.states_explored
+    assert len(insts) // 2 < accepted < len(insts)
+
+
+@pytest.mark.parametrize(
+    "inst, deleted",
+    [
+        # edgeless: d = 0, so 6 non-anchors pass the threshold 3, not 162
+        (isolated_instance(10), 3),
+        # 4 and 5 are closed twins, far below the threshold
+        (Instance(Problem.ISR, Graph(range(6), [(4, 5)]), 2, {0, 1}, {2, 3}), 1),
+    ],
+)
+def test_solve_kernelizes_where_a_rule_fires(inst, deleted):
+    assert not degenerate._kernel_is_identity(inst)
+    assert len(kernelize_degenerate(inst).log) == deleted
+    result = solve_isr_degenerate(inst)
+    assert len(result.log) == deleted
+    assert result.outcome.verdict is bfs_reconfig(inst).verdict
+
+
+def test_solve_takes_both_paths(monkeypatch, tmp_path, capsys):
+    """With the kernel broken, ``solve`` still answers P4 and the n = 30
+    instance of ``gen --n 30 --d 2 --k 2 --seed 1``, which it searches
+    directly, and fails on the forest of ``gen --n 250 --d 1 --k 2 --seed 1``,
+    whose 246 non-anchors pass the low-degree threshold of 162."""
+
+    def broken(inst):
+        raise RuntimeError("kernel ran")
+
+    monkeypatch.setattr(degenerate, "kernelize_degenerate", broken)
+    cases = [
+        (P4, 0),
+        (plant_isr_instance(gen_random_degenerate(30, 2, 1), 2, 1), 0),
+        (plant_isr_instance(gen_random_degenerate(250, 1, 1), 2, 1), 70),
+    ]
+    for i, (inst, code) in enumerate(cases):
+        path = tmp_path / f"{i}.isr"
+        path.write_text(serialize_instance(inst))
+        assert cli.main(["solve", str(path)]) == code
+    assert capsys.readouterr().err.count("RuntimeError: kernel ran") == 1
