@@ -162,10 +162,13 @@ class ReductionLog:
 
 
 def replay_reductions(graph: Graph, log: ReductionLog) -> Graph:
-    """Re-apply the log's deletions in order against ``graph``."""
+    """``graph`` less the log's deletions; KeyError at a vertex absent or deleted twice."""
+    left = set(graph.vertex_set)
     for step in log:
-        graph = graph.delete_vertex(step.vertex)
-    return graph
+        if step.vertex not in left:
+            raise KeyError(f"vertex {step.vertex} not in graph")
+        left.remove(step.vertex)
+    return graph if len(left) == graph.n else graph.induced_subgraph(left)
 
 
 # -- instance text -----------------------------------------------------------

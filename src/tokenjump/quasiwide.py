@@ -18,12 +18,14 @@ Anchors are never deleted, so the classes are computed once, and each
 radius-2 ball is computed once and kept until a deletion next to its centre
 (a deletion two steps away only clears its bit).  The certifying sunflower
 is checked, and its first petal deleted, by ``Workspace.delete_petal``, the
-step the low-degree rule takes too.  The sweep for B = {} stops at the 2k
-petals the rule needs.  Once the failed sweeps past B = {} have cost about
-as much as comparing the pool's balls pairwise, the search compares them,
-and from then on rules a deletion set out without sweeping the pool when a
-clique cover of the pairs that no B can separate, plus the pool vertices
-next to B, falls short of the number required.  It skips whole runs of
+step the low-degree rule takes too.  Every sweep, for every deletion set B,
+stops once it has picked the 2k * 2^|B| vertices the rule needs, of which
+2k share a cell by pigeonhole; the sweep for B = {} is a fast path of its
+own.  Once the failed sweeps past B = {} have cost about as much as
+comparing the pool's balls pairwise, the search compares them, and from
+then on rules a deletion set out without sweeping the pool when a clique
+cover of the pairs that no B can separate, plus the pool vertices next to
+B, falls short of the number required.  It skips whole runs of
 deletion sets sharing a prefix the same way, bounding the pool vertices
 next to the members still to come by their largest pool-neighbour counts.
 Picks strike later candidates the sweep would reject: a pick with no
@@ -217,17 +219,20 @@ class _ScatteredWorkspace(Workspace):
 
     "Rest", the graph the search runs in, is the live non-anchor part.
     Anchors are never deleted, so the classes are computed once, keyed by
-    the mask of the anchors their members see, with members ascending; a
-    deleted position leaves the class its anchor neighbors key.  Each pool
-    vertex's radius-2 ball in the rest is cached until a deletion at or next
-    to its centre; a ball centred two steps away only loses the deleted bit.
+    the mask of the anchors their members see, with members ascending, and
+    held in ascending order of their keys' anchor positions, the tie-break
+    between the largest; a deleted position leaves the class its anchor
+    neighbors key.  Each pool vertex's radius-2 ball in the rest is cached
+    until a deletion at or next to its centre; a ball centred two steps away
+    only loses the deleted bit.
     """
 
     def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
         super().__init__(graph, anchors)
-        self._classes: dict[int, list[int]] = {}
+        classes: dict[int, list[int]] = {}
         for i in set_bits(self.alive & ~self.anchor_mask):
-            self._classes.setdefault(self.nbr[i] & self.anchor_mask, []).append(i)
+            classes.setdefault(self.nbr[i] & self.anchor_mask, []).append(i)
+        self._classes = dict(sorted(classes.items(), key=lambda kv: list(set_bits(kv[0]))))
         self._balls: dict[int, int] = {}
 
     def delete(self, i: int, step: ReductionStep) -> int:
@@ -260,18 +265,15 @@ class _ScatteredWorkspace(Workspace):
 
         For each candidate B, a greedy sweep over the pool (ascending
         positions) picks vertices whose radius-2 balls in the rest minus B are
-        pairwise disjoint; the candidate succeeds when at least
-        ``required(|B|)`` are found, and a sweep stops once that is out of
-        reach.  The sets of each size come in lexicographic order over the
-        rest vertices ranked by degree.  Every B tried or skipped costs one
-        unit of ``search_budget``, and sizes stop at the number of rest
-        vertices.  The B = {} sweep also stops once it has ``required(0)``
-        vertices, all of one cell, so its petals are the first 2k the whole
-        sweep would find; past B = {} the cell that supplies the petals
-        depends on the whole sweep, which runs to the end.  The balls of a
-        success are recomputed from the adjacency masks before B's mask and
-        the chosen positions are returned; a disagreement is an internal
-        error.
+        pairwise disjoint; the candidate succeeds, and the sweep stops, once
+        it has picked ``required(|B|)`` of them, and a sweep also stops once
+        that is out of reach.  The sets of each size come in lexicographic
+        order over the rest vertices ranked by degree.  Every B tried or
+        skipped costs one unit of ``search_budget``, and sizes stop at the
+        number of rest vertices.  B = {} takes a fast path, a sweep over the
+        cached balls alone.  The balls of a success are recomputed from the
+        adjacency masks before B's mask and the chosen positions are
+        returned; a disagreement is an internal error.
 
         A pool vertex with no neighbor in B ("tame") has its cached ball minus
         B; only the "wild" ones, with a neighbor in B, need their ball
@@ -293,6 +295,7 @@ class _ScatteredWorkspace(Workspace):
         picks for any B, or at which B the budget runs out.
         """
         nbr, anchors, balls = self.nbr, self.anchor_mask, self._balls
+        # B = {} has a pass of its own: it needs neither the pool mask nor the ranking
         need = required(0)
         used = 0
         chosen: list[int] = []
@@ -308,10 +311,8 @@ class _ScatteredWorkspace(Workspace):
                 continue
             chosen.append(i)
             if len(chosen) == need:
-                break
+                return 0, _checked(nbr, chosen, anchors)
             used |= ball
-        if len(chosen) >= need:
-            return 0, _checked(nbr, chosen, anchors)
         rest = self.alive & ~anchors
         top = min(params.max_deletions, rest.bit_count())
         if top == 0:
@@ -381,9 +382,9 @@ class _ScatteredWorkspace(Workspace):
                         candidates = tame | wild
                         left = (candidates >> i + 1).bit_count()
                     chosen.append(i)
+                    if len(chosen) == need:
+                        return blocked, _checked(nbr, chosen, blocked | anchors)
                     used |= ball
-                if len(chosen) >= need:
-                    return blocked, _checked(nbr, chosen, blocked | anchors)
                 misses += 1
                 if misses == (len(pool) + 1) // 2:
                     pool_balls = {i: self._ball(i) for i in pool}
@@ -398,27 +399,23 @@ class _ScatteredWorkspace(Workspace):
     def scattered_once(self, k: int, params: QuasiWideParams) -> Optional[ReductionStep]:
         """Try to delete one irrelevant vertex from an oversized class.
 
-        Picks the largest class above ``class_threshold``, or above 2k if
+        Takes the largest class, the first in class order among equals, if
+        it has more than ``class_threshold`` members, or more than 2k if
         that is more, and searches for a scattered set inside it, in the
-        rest.  A candidate deletion set B of
-        size s must come with at least 2k * 2^s scattered vertices, so that
-        by pigeonhole some cell of equal B-neighborhood keeps 2k of them; the
-        closed neighborhoods of the first 2k of the largest cell form the
+        rest.  Every search for a deletion set B of size s stops at 2k * 2^s
+        scattered vertices: they fall into at most 2^s cells of equal
+        B-neighborhood, so by pigeonhole one keeps 2k of them.  The closed
+        neighborhoods of the first 2k of the largest cell form the
         certifying sunflower, since the scattered balls make them meet
         exactly in the shared anchor and B neighbors.  Expects closed twins
         outside the anchors to be removed already.  A certificate that fails
         validation is an internal error.
         """
         two_k = 2 * k
-        threshold = max(params.class_threshold, two_k)
-        oversized = [
-            (-len(vs), list(set_bits(key)), vs)
-            for key, vs in self._classes.items()
-            if len(vs) > threshold
-        ]
-        if not oversized:
+        pool = max(self._classes.values(), key=len, default=[])
+        if len(pool) <= max(params.class_threshold, two_k):
             return None
-        found = self.search(min(oversized)[2], params, lambda size: two_k << size)
+        found = self.search(pool, params, lambda size: two_k << size)
         if found is None:
             return None
         blocked, chosen = found

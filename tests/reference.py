@@ -601,8 +601,9 @@ def scattered_prefix(
     cert: Optional[ScatteredCertificate], target: int
 ) -> Optional[ScatteredCertificate]:
     """A reference certificate as the search returns it: with no deletions,
-    the first ``target`` scattered vertices in ascending id, where the
-    B = {} sweep stops; past B = {}, the whole sweep."""
+    the first ``target`` scattered vertices in ascending id; past B = {}, the
+    whole certificate.  Both stop every sweep at ``target`` picks, so this
+    is ``cert`` itself."""
     if cert is None or cert.deleted:
         return cert
     return ScatteredCertificate(cert.deleted, frozenset(sorted(cert.scattered)[:target]))
@@ -692,7 +693,8 @@ def search_scattered(
     g: Graph, pool: list[int], params: QuasiWideParams, required
 ) -> Optional[ScatteredCertificate]:
     """Deletion sets by increasing size, high-degree vertices first; for each,
-    a greedy ascending-id sweep for pool vertices with disjoint radius-2 balls."""
+    a greedy ascending-id sweep for pool vertices with disjoint radius-2 balls
+    that stops at ``required(size)`` of them."""
     verts, pos, nbr = bitset_index(g)
     pool_idx = [pos[v] for v in pool if v in pos]
     balls = {i: _ball2_mask(nbr, i, 0) for i in pool_idx}
@@ -724,6 +726,8 @@ def search_scattered(
                 if used & ball:
                     continue
                 chosen.append(verts[i])
+                if len(chosen) == need:
+                    break
                 used |= ball
             if len(chosen) >= need:
                 cert = ScatteredCertificate(frozenset(combo), frozenset(chosen))

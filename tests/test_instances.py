@@ -213,6 +213,27 @@ def test_reduction_log_replay():
     assert log.deleted_vertices() == [3, 0]
 
 
+@pytest.mark.parametrize(
+    "deleted, bad", [([3, 7, 9], 7), ([3, 0, 3, 8], 3)], ids=["unknown vertex", "repeated vertex"]
+)
+def test_replay_names_the_first_vertex_it_cannot_delete(deleted, bad):
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    log = ReductionLog([ReductionStep("twin", v, {"survivor": 1}) for v in deleted])
+    with pytest.raises(KeyError, match=f"^'vertex {bad} not in graph'$"):
+        replay_reductions(g, log)
+
+
+def test_replay_matches_deleting_step_by_step():
+    """The 1,834-step log of ``gen --n 2000 --d 1 --k 2 --seed 1``."""
+    inst = plant_isr_instance(gen_random_degenerate(2000, 1, 1), 2, 1)
+    kern = kernelize_degenerate(inst)
+    g = inst.graph
+    for step in kern.log:
+        g = g.delete_vertex(step.vertex)
+    assert len(kern.log) == 1834
+    assert replay_reductions(inst.graph, kern.log) == g == kern.kernel.graph
+
+
 def test_rules_to_json_shifts_every_certificate_to_file_coordinates():
     forest = plant_isr_instance(gen_random_degenerate(250, 1, 1), 2, 1)
     star = Graph(range(41), [(0, v) for v in range(1, 41)])

@@ -264,6 +264,31 @@ def test_distance_two_balls_survive_a_deletion(monkeypatch):
     reference.assert_same_reductions((kernel, log), ref, inst.k)
 
 
+@pytest.mark.parametrize("n", [400, 1000])
+def test_star_sweeps_stop_at_their_pigeonhole_count(monkeypatch, n):
+    """K_{1,n} with two source and two target leaves, k = 2.
+
+    Every deletion needs the hub in B, and each sweep past B = {} stops at
+    its 2k * 2 = 8 picks, so the ball computations grow linearly in n
+    (6,218 at n = 400).  Sweeps that read the whole leaf class past B = {}
+    make 156,550 there, and 992,950 at n = 1000.
+    """
+    inst = Instance(Problem.ISR, star(n), 2, {1, 2}, {3, 4})
+    calls = 0
+    ball2_mask = quasiwide._ball2_mask
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return ball2_mask(*args)
+
+    monkeypatch.setattr(quasiwide, "_ball2_mask", counted)
+    kernel, log = kernelize_quasiwide(inst, QuasiWideParams())
+    assert calls <= 20 * n
+    assert kernel.graph.n == 37
+    reference.check_reduction_log(inst, log, kernel.graph)
+
+
 @pytest.mark.parametrize(
     "field, value", [("class_threshold", 0), ("max_deletions", -1), ("search_budget", 0)]
 )
