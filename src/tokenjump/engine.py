@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import bitset_index, mask_of, set_bits
+from .graph import bitset_index, mask_of, set_bits, union_of
 from .instances import Instance, Problem, ReductionLog, Verdict, infeasibility
 
 __all__ = [
@@ -163,15 +163,6 @@ def bfs_reconfig(
     def to_set(mask: int) -> frozenset[int]:
         return frozenset(verts[i] for i in set_bits(mask))
 
-    def cover_of(mask: int) -> int:
-        """The union of the neighbor masks of the members of ``mask``."""
-        cover = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            cover |= nbr[low.bit_length() - 1]
-        return cover
-
     def removals(cur: int, toggles: int) -> list[int]:
         """States one removal of a ``toggles`` bit from ``cur``, by ascending id."""
         out = []
@@ -179,7 +170,7 @@ def bfs_reconfig(
         while rest:
             low = rest & -rest
             rest ^= low
-            if isr or cover_of(cur ^ low) == full:
+            if isr or union_of(nbr, cur ^ low) == full:
                 out.append(cur ^ low)
         return out
 
@@ -189,7 +180,7 @@ def bfs_reconfig(
         For DSR any superset of a dominating set dominates.
         """
         out = []
-        rest = toggles & ~(cur | cover_of(cur) if isr else cur)
+        rest = toggles & ~(cur | union_of(nbr, cur) if isr else cur)
         while rest:
             low = rest & -rest
             rest ^= low

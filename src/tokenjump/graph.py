@@ -2,7 +2,8 @@
 
 Also the bitset helpers every layer shares, each the one place its fact is
 computed: ``bitset_index`` numbers the vertices and builds neighbor masks,
-``mask_of`` masks a set of ids, ``set_bits`` lists a mask's positions, and
+``mask_of`` masks a set of ids, ``set_bits`` lists a mask's positions,
+``union_of`` unites the masks at a mask's positions, and
 ``degeneracy_core`` peels the degeneracy and its core from those masks.
 """
 
@@ -203,6 +204,16 @@ def set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_of(masks: list[int], mask: int) -> int:
+    """The union of ``masks[i]`` over the set bits i of ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= masks[low.bit_length() - 1]
+        mask ^= low
+    return union
 
 
 def contains_biclique(g: Graph, d: int) -> bool:

@@ -18,21 +18,10 @@ Anchors are never deleted, so the classes are computed once, and each
 radius-2 ball is computed once and kept until a deletion next to its centre
 (a deletion two steps away only clears its bit).  The certifying sunflower
 is checked, and its first petal deleted, by ``Workspace.delete_petal``, the
-step the low-degree rule takes too.  Every sweep, for every deletion set B,
-stops once it has picked the 2k * 2^|B| vertices the rule needs, of which
-2k share a cell by pigeonhole; the sweep for B = {} is a fast path of its
-own.  Once the failed sweeps past B = {} have cost about as much as
-comparing the pool's balls pairwise, the search compares them, and from
-then on rules a deletion set out without sweeping the pool when a clique
-cover of the pairs that no B can separate, plus the pool vertices next to
-B, falls short of the number required.  It skips whole runs of
-deletion sets sharing a prefix the same way, bounding the pool vertices
-next to the members still to come by their largest pool-neighbour counts.
-Picks strike later candidates the sweep would reject: a pick with no
-neighbour in B strikes its robust partners only, and a pick next to B
-strikes through an index of the pool balls that hold each rest vertex.  It
-finds the same B and A, and runs out of budget at the same B, as sweeping
-every deletion set.
+step the low-degree rule takes too.  The docstring of
+``_ScatteredWorkspace.search`` gives the order in which B is tried, how
+sweeps and whole runs of deletion sets are cut short, and why the cuts
+change no result.
 """
 
 from __future__ import annotations
@@ -44,7 +33,7 @@ from typing import Callable, Iterator, Optional
 
 from .degenerate import Workspace
 from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
-from .graph import Graph, set_bits
+from .graph import Graph, set_bits, union_of
 from .instances import (
     RULE_QUASIWIDE,
     Instance,
@@ -101,12 +90,7 @@ def partition_by_solution_neighborhood(
 def _ball2_mask(nbr: list[int], i: int, blocked: int) -> int:
     """The closed radius-2 ball of bit i in the graph minus ``blocked``."""
     first = nbr[i] & ~blocked
-    ball = first | 1 << i
-    while first:
-        low = first & -first
-        ball |= nbr[low.bit_length() - 1]
-        first ^= low
-    return ball & ~blocked
+    return (union_of(nbr, first) | first | 1 << i) & ~blocked
 
 
 def _balls_disjoint(nbr: list[int], chosen: list[int], blocked: int) -> bool:
@@ -188,30 +172,25 @@ def _deletion_sets(
     for each run of ``count`` consecutive sets skipped unseen.  A run is the
     sets that extend a prefix, given by its ``blocked`` and ``near`` masks,
     with ``more`` members from ``ranked[start:]``; it is skipped when
-    ``hopeless(blocked, near, more, start)``.
+    ``hopeless(blocked, near, more, start)``.  The walk recurses one level
+    per member of the deletion set, so it is ``size`` levels deep.
     """
     n = len(ranked)
-    stack: list[tuple[int, int, int]] = []
-    t = blocked = near = 0
-    while True:
-        more = size - len(stack)  # members still to add, from ranked[t:]
-        if t + more <= n and hopeless(blocked, near, more, t):
-            yield comb(n - t, more), None, 0
-            t = n
-        if t + more > n:
-            if not stack:
+
+    def extend(
+        start: int, blocked: int, near: int, more: int
+    ) -> Iterator[tuple[int, Optional[int], int]]:
+        for t in range(start, n - more + 1):
+            if hopeless(blocked, near, more, t):
+                yield comb(n - t, more), None, 0
                 return
-            t, blocked, near = stack.pop()
-            t += 1
-            continue
-        v = ranked[t]
-        if more > 1:
-            stack.append((t, blocked, near))
-            blocked |= 1 << v
-            near |= nbr[v]
-        else:
-            yield 1, blocked | 1 << v, near | nbr[v]
-        t += 1
+            v = ranked[t]
+            if more == 1:
+                yield 1, blocked | 1 << v, near | nbr[v]
+            else:
+                yield from extend(t + 1, blocked | 1 << v, near | nbr[v], more - 1)
+
+    return extend(0, 0, 0, size)
 
 
 class _ScatteredWorkspace(Workspace):
@@ -240,12 +219,10 @@ class _ScatteredWorkspace(Workspace):
         self._classes[nb & self.anchor_mask].remove(i)
         balls, bit = self._balls, 1 << i
         first = nb & ~self.anchor_mask
-        second = 0
         balls.pop(i, None)
         for w in set_bits(first):
             balls.pop(w, None)
-            second |= self.nbr[w]
-        for j in set_bits(second & ~(first | self.anchor_mask)):
+        for j in set_bits(union_of(self.nbr, first) & ~(first | self.anchor_mask)):
             ball = balls.get(j)
             if ball is not None:
                 balls[j] = ball & ~bit
@@ -365,13 +342,7 @@ class _ScatteredWorkspace(Workspace):
                         ball &= ~blocked
                         if used & ball:
                             continue
-                        strike = 0
-                        if holders:
-                            bits = ball
-                            while bits:
-                                low = bits & -bits
-                                strike |= holders[low.bit_length() - 1]
-                                bits ^= low
+                        strike = union_of(holders, ball) if holders else 0
                     else:
                         ball = (balls.get(i) or self._ball(i)) & ~blocked
                         if used & ball:

@@ -597,18 +597,6 @@ def assert_same_reductions(ours, ref, k: int) -> None:
     assert ours == (kernel, two_k_petals(log, k), *rest)
 
 
-def scattered_prefix(
-    cert: Optional[ScatteredCertificate], target: int
-) -> Optional[ScatteredCertificate]:
-    """A reference certificate as the search returns it: with no deletions,
-    the first ``target`` scattered vertices in ascending id; past B = {}, the
-    whole certificate.  Both stop every sweep at ``target`` picks, so this
-    is ``cert`` itself."""
-    if cert is None or cert.deleted:
-        return cert
-    return ScatteredCertificate(cert.deleted, frozenset(sorted(cert.scattered)[:target]))
-
-
 # -- the per-deletion ISR kernels that the reduction workspace replaced ------
 # Kept as they were, with the rescanning twin removal above: every deletion
 # restarts twin removal, the degeneracy order, the low-degree family, the

@@ -293,6 +293,21 @@ def test_stats_fields(capsys, p4_file):
     assert payload["class_sizes"] == []  # every vertex is an endpoint
 
 
+def test_stats_skips_bicliques_past_the_work_cap(capsys, tmp_path):
+    """The n = 2000 forest has 1,015 vertices of degree 2 or more and 500 of
+    degree 3 or more, so both exhaustive checks would try more left sides
+    than ``cli._BICLIQUE_WORK_CAP`` allows."""
+    path = tmp_path / "forest2000.isr"
+    code, _, _ = run(capsys, "gen", "--n", "2000", "--d", "1", "--k", "2", "--seed", "1",
+                     "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "stats", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degeneracy"] == 1
+    assert payload["contains_biclique"] == {"2": None, "3": None}
+
+
 def test_strategies_agree_and_verify_accepts_solve_on_corpus(capsys, tmp_path):
     for seed in range(10):
         code, text, _ = run(capsys, "gen", "--n", "12", "--d", "2", "--k", "2",

@@ -11,7 +11,7 @@ from tokenjump import (
     kernelize_degenerate,
     plant_isr_instance,
 )
-from tokenjump.graph import bitset_index, degeneracy_core, set_bits
+from tokenjump.graph import bitset_index, degeneracy_core, set_bits, union_of
 
 import reference
 
@@ -48,6 +48,13 @@ def test_construction_rejects_self_loops_and_unknown_endpoints():
         Graph([0, 1], [(0, 0)])
     with pytest.raises(ValueError):
         Graph([0, 1], [(0, 2)])
+
+
+def test_equality_and_repr():
+    g = path(3)
+    assert g == path(3) and g != cycle(3)
+    assert g.__eq__(g.vertex_set) is NotImplemented and g != g.vertex_set
+    assert repr(g) == "Graph(n=3, m=2)"
 
 
 def peel(g, alive=None):
@@ -109,6 +116,15 @@ def test_bitset_index_examples():
     assert pos == {3: 0, 7: 1, 9: 2}
     assert nbr == [0b100, 0b100, 0b011]
     assert bitset_index(Graph()) == ((), {}, [])
+
+
+@given(st.lists(st.integers(0, 2**16 - 1), max_size=16), st.data())
+def test_union_of_matches_a_fold_over_set_bits(masks, data):
+    mask = data.draw(st.integers(0, 2 ** len(masks) - 1))
+    union = 0
+    for i in set_bits(mask):
+        union |= masks[i]
+    assert union_of(masks, mask) == union
 
 
 def test_bitset_index_is_built_once_per_graph():
@@ -226,3 +242,12 @@ def test_generator_is_deterministic():
     a = gen_random_degenerate(30, 2, 7)
     b = gen_random_degenerate(30, 2, 7)
     assert a == b and list(a.edges()) == list(b.edges())
+
+
+def test_generators_reject_sizes_below_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gen_random_degenerate(0, 1, 0)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        gen_random_degenerate(5, 0, 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        plant_isr_instance(path(5), 0, 0)

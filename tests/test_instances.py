@@ -308,6 +308,7 @@ def test_report_answers_are_the_verdict_values():
         lambda r: r["sequence"][0].__setitem__(0, True),
         lambda r: r["kernel"].update(deleted=[True]),
         lambda r: r.update(rules=[{"rule": "twin", "vertex": True, "certificate": {}}]),
+        lambda r: r.update(rules=[{"rule": "twin", "vertex": 1, "certificate": []}]),
         lambda r: r["kernel"].update(n=True),
         lambda r: r["kernel"].update(n=-5),
         lambda r: r["kernel"].update(m=-1),

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from math import comb
 
@@ -23,7 +25,7 @@ from tokenjump import (
 )
 from tokenjump import cli, degenerate, quasiwide
 from tokenjump.graph import bitset_index, set_bits
-from tokenjump.quasiwide import _ScatteredWorkspace, _balls_disjoint
+from tokenjump.quasiwide import _ScatteredWorkspace, _balls_disjoint, _deletion_sets
 
 import reference
 from reference import ScatteredCertificate
@@ -297,6 +299,12 @@ def test_params_reject_each_field_out_of_range(field, value):
         QuasiWideParams(**{field: value})
 
 
+def test_dsr_instances_are_rejected():
+    dsr = parse_instance("p dsr 3 2 1\ne 1 2\ne 2 3\ns 2\nt 2\n")
+    with pytest.raises(ValueError, match="ISR instances only"):
+        kernelize_quasiwide(dsr, QuasiWideParams())
+
+
 def test_reduce_absent_when_classes_are_small():
     inst = Instance(
         Problem.ISR, Graph(range(10)), 2, frozenset({0, 1}), frozenset({2, 3})
@@ -424,8 +432,7 @@ def tried_before(g, deleted):
 
 
 def test_scattered_search_matches_reference_on_hub_graphs():
-    """Same certificate as the sweep over every deletion set, budget cuts included;
-    at B = {}, its first ``target`` vertices."""
+    """Same certificate as the sweep over every deletion set, budget cuts included."""
     rng = random.Random(0x5CA77)
     levels = [0] * 4
     partway = 0
@@ -438,7 +445,7 @@ def test_scattered_search_matches_reference_on_hub_graphs():
         )
         ours = scattered_certificate(g, frozenset(pool), target, params)
         ref = reference.search_scattered(g, sorted(pool), params, lambda _s: target)
-        assert ours == reference.scattered_prefix(ref, target)
+        assert ours == ref
         if ours is None or not ours.deleted:
             levels[0] += ours is not None
             continue
@@ -453,9 +460,8 @@ def test_scattered_search_matches_reference_on_hub_graphs():
 
 
 def test_scattered_search_matches_reference_once_the_pool_is_compared(monkeypatch):
-    """Same certificate (at B = {}, its first ``target`` vertices) where sweeps
-    fail long enough for the pool's balls to be compared pairwise, so that
-    later deletion sets are skipped and struck."""
+    """Same certificate where sweeps fail long enough for the pool's balls to
+    be compared pairwise, so that later deletion sets are skipped and struck."""
     compared = []
     conflicts = quasiwide._conflicts
 
@@ -476,7 +482,7 @@ def test_scattered_search_matches_reference_once_the_pool_is_compared(monkeypatc
         compared.clear()
         ours = scattered_certificate(g, frozenset(pool), target, params)
         ref = reference.search_scattered(g, sorted(pool), params, lambda _s: target)
-        assert ours == reference.scattered_prefix(ref, target)
+        assert ours == ref
         found_after += bool(compared) and ours is not None
     assert found_after > 0
 
@@ -515,6 +521,43 @@ def recorded_deletion_sets(monkeypatch):
 
     monkeypatch.setattr(quasiwide, "_deletion_sets", recorded)
     return items
+
+
+@pytest.mark.parametrize("rule", ["never", "always", "prefix holds", "start past"])
+def test_deletion_sets_skip_exactly_the_hopeless_runs(rule):
+    """Every size and chosen position x on up to 7 ranked vertices: the sets
+    looked at are those of ``itertools.combinations(ranked, size)`` that no
+    hopeless prefix cuts off, in that order, and the skipped runs count the
+    rest.  "prefix holds" is hopeless once the prefix holds ``ranked[x]``,
+    so a set is looked at unless it holds it before its last member;
+    "start past" is hopeless once a member would come from past x, so a set
+    is looked at when all its members lie at or before x."""
+    rng = random.Random(0xB5E7)
+    for n in range(8):
+        nbr = [rng.getrandbits(10) for _ in range(10)]
+        ranked = rng.sample(range(10), n)
+        for size, x in itertools.product(range(1, 5), range(max(n, 1))):
+            hopeless, looked = {
+                "never": (lambda *_: False, lambda combo: True),
+                "always": (lambda *_: True, lambda combo: False),
+                "prefix holds": (
+                    lambda blocked, _near, _more, _start: bool(blocked >> ranked[x] & 1),
+                    lambda combo: ranked[x] not in combo[:-1],
+                ),
+                "start past": (
+                    lambda _blocked, _near, _more, start: start > x,
+                    lambda combo: max(map(ranked.index, combo)) <= x,
+                ),
+            }[rule]
+            expected = []
+            for combo in itertools.combinations(ranked, size):
+                if looked(combo):
+                    near = functools.reduce(operator.or_, (nbr[v] for v in combo))
+                    expected.append((1, sum(1 << v for v in combo), near))
+            items = list(_deletion_sets(nbr, ranked, size, hopeless))
+            assert [item for item in items if item[1] is not None] == expected
+            assert all(run > 0 and near == 0 for run, blocked, near in items if blocked is None)
+            assert sum(run for run, _blocked, _near in items) == comb(n, size)
 
 
 def test_a_search_in_vain_looks_at_few_deletion_sets_one_at_a_time(monkeypatch):
