@@ -15,7 +15,6 @@ from .instances import (
     ReductionStep,
     ReportFormatError,
     gen_random_degenerate,
-    is_feasible,
     parse_instance,
     parse_report,
     plant_dsr_instance,

@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import time
-from math import comb
 
 from .degenerate import kernelize_degenerate, solve_isr_degenerate
 from .dsr import kernelize_dsr, solve_dsr
@@ -54,8 +53,6 @@ EX_SOFTWARE = 70
 EX_CANTCREAT = 73
 
 _EXIT_CODES = {Verdict.YES: EX_OK, Verdict.NO: EX_NO, Verdict.EXHAUSTED: EX_UNKNOWN}
-
-_BICLIQUE_WORK_CAP = 200_000
 
 
 class _UsageError(Exception):
@@ -288,13 +285,6 @@ def _cmd_convert(args) -> int:
 def _cmd_stats(args) -> int:
     inst = parse_instance(_read_input(args.instance))
     g = inst.graph
-    bicliques: dict[str, bool | None] = {}
-    for d in (2, 3):
-        candidates = sum(1 for v in g.vertices if g.degree(v) >= d)
-        if comb(candidates, d) > _BICLIQUE_WORK_CAP:
-            bicliques[str(d)] = None  # too large for the exhaustive check
-        else:
-            bicliques[str(d)] = contains_biclique(g, d)
     classes = partition_by_solution_neighborhood(g, inst.anchors)
     payload = {
         "problem": inst.problem.value,
@@ -302,7 +292,7 @@ def _cmd_stats(args) -> int:
         "m": g.m,
         "k": inst.k,
         "degeneracy": degeneracy_core(bitset_index(g)[2], (1 << g.n) - 1)[0],
-        "contains_biclique": bicliques,
+        "contains_biclique": {str(d): contains_biclique(g, d) for d in (2, 3)},
         "class_sizes": sorted((len(vs) for vs in classes.values()), reverse=True),
     }
     _emit(layout_json(payload), args.out)

@@ -12,7 +12,8 @@ reduce one ``Workspace``: a bitset copy of the graph built once per
 kernelization and updated only around each deleted vertex.  The twin groups,
 the degeneracy and the low-degree vertices are maintained, not recomputed,
 so a deletion costs time near the deleted vertex, not in the whole graph.
-The immutable ``Graph`` of the kernel is built once, at the end.
+The immutable ``Graph`` of the kernel is built once, at the end, by
+replaying the log against the input graph.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .instances import (
     Problem,
     ReductionLog,
     ReductionStep,
+    replay_reductions,
 )
 
 __all__ = [
@@ -167,12 +169,10 @@ class Workspace:
             self.remove_twins()
 
     def reduced(self, inst: Instance) -> Instance:
-        """``inst`` on the live vertices; ``inst`` itself if nothing was deleted."""
+        """``inst`` on the replay of the log; ``inst`` itself if nothing was deleted."""
         if not self.log.steps:
             return inst
-        verts = self.verts
-        live = [verts[i] for i in set_bits(self.alive)]
-        return inst.with_graph(self.graph.induced_subgraph(live))
+        return inst.with_graph(replay_reductions(self.graph, self.log))
 
 
 def extract_sunflower(masks: Iterable[int], want: int) -> Optional[list[int]]:
@@ -206,8 +206,6 @@ def _extract(indexed: Iterable[tuple[int, int]], want: int) -> Optional[list[int
     if len(read) < want:
         return None
     freq = Counter(bit for _, mask in read for bit in set_bits(mask))
-    if not freq:
-        return None
     best = max(sorted(freq), key=freq.__getitem__)
     bit = 1 << best
     return _extract([(idx, mask ^ bit) for idx, mask in read if mask & bit], want)
@@ -312,12 +310,13 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
     The degeneracy is maintained under every deletion, so each attempt uses
     the degeneracy of the current graph and the threshold only shrinks as
     the graph does.  The certified size bound is checked before returning,
-    on the bitset index of the kernel's own ``Graph``, not the workspace
-    masks, so it trusts no maintained state: it counts the low-degree and
-    non-anchor vertices there and, if anything was deleted, peels d again
-    with ``degeneracy_core``.  A violation signals an implementation bug,
-    not bad input.  The search on the kernel reuses that index, the one the
-    workspace was built from when nothing was deleted.
+    on the bitset index of the kernel's own ``Graph``, the replay of the
+    log, not on the workspace masks, so it trusts no maintained state: it
+    counts the low-degree and non-anchor vertices there and peels d again
+    with ``degeneracy_core`` on every call.  A violation signals an
+    implementation bug, not bad input.  The search on the kernel reuses
+    that index, the one the workspace was built from when nothing was
+    deleted.
     """
     if inst.problem is not Problem.ISR:
         raise ValueError("this reduction applies to ISR instances only")
@@ -326,7 +325,7 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
     cur = ws.reduced(inst)
     _, pos, nbr = bitset_index(cur.graph)
     every = (1 << len(nbr)) - 1
-    d = degeneracy_core(nbr, every)[0] if ws.log.steps else ws.d
+    d = degeneracy_core(nbr, every)[0]
     low_bound = low_degree_threshold(d, cur.k)
     total_bound = kernel_vertex_bound(d, cur.k)
     rest = every & ~mask_of(pos, cur.anchors)

@@ -27,6 +27,7 @@ from .instances import (
     Problem,
     ReductionLog,
     ReductionStep,
+    replay_reductions,
 )
 
 __all__ = [
@@ -131,9 +132,7 @@ def remove_core_twins(
         for v in doomed:
             cert = {"survivor": survivor, "shared_core_neighborhood": sorted(key)}
             log.append(ReductionStep(RULE_CORE_TWIN, v, cert))
-    if log.steps:
-        g = g.induced_subgraph(g.vertex_set.difference(log.deleted_vertices()))
-    return inst.with_graph(g), log
+    return inst.with_graph(replay_reductions(g, log)), log
 
 
 def kernelize_dsr(inst: Instance) -> tuple[Instance, ReductionLog, DominationCore]:

@@ -10,17 +10,19 @@ computed: ``bitset_index`` numbers the vertices and builds neighbor masks,
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable, Iterator
 
 
 class Graph:
     """Simple undirected graph over integer vertex ids.
 
-    Values are immutable: ``delete_vertex`` and ``induced_subgraph`` return new
-    graphs, and surviving vertices keep their ids.  Ids are never recycled, so
-    reduction logs can name deleted vertices unambiguously long after they are
-    gone.  Neighborhood accessors that return tuples are sorted ascending to
-    keep downstream output deterministic.
+    Values are immutable: ``induced_subgraph`` returns a new graph, and
+    surviving vertices keep their ids.  Ids are never recycled, so reduction
+    logs can name deleted vertices unambiguously long after they are gone;
+    ``instances.replay_reductions`` builds every kernel from its log.
+    Neighborhood accessors that return tuples are sorted ascending to keep
+    downstream output deterministic.
     """
 
     __slots__ = ("_adj", "_index")
@@ -90,14 +92,6 @@ class Graph:
             for v in self.neighbors(u):
                 if u < v:
                     yield (u, v)
-
-    def delete_vertex(self, v: int) -> "Graph":
-        """New graph without v; all other ids and adjacencies unchanged."""
-        if v not in self._adj:
-            raise KeyError(f"vertex {v} not in graph")
-        return Graph._of(
-            {u: (ns - {v} if v in ns else ns) for u, ns in self._adj.items() if u != v}
-        )
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         kept = frozenset(keep)
@@ -216,17 +210,22 @@ def union_of(masks: list[int], mask: int) -> int:
     return union
 
 
-def contains_biclique(g: Graph, d: int) -> bool:
+# Left sides past which ``contains_biclique`` gives up.
+BICLIQUE_WORK_CAP = 200_000
+
+
+def contains_biclique(g: Graph, d: int) -> bool | None:
     """Whether K_{d,d} occurs as a (not necessarily induced) subgraph.
 
-    Plain exhaustive search over d-subsets of candidate left sides; intended
-    for desk-scale diagnostics only.
+    Plain exhaustive search over d-subsets of candidate left sides, the
+    vertices of degree at least d; intended for desk-scale diagnostics only.
+    None when there are more than ``BICLIQUE_WORK_CAP`` such subsets.
     """
     if d < 1:
         raise ValueError("biclique order d must be >= 1")
     candidates = [v for v in g.vertices if g.degree(v) >= d]
-    if len(candidates) < d:
-        return False
+    if comb(len(candidates), d) > BICLIQUE_WORK_CAP:
+        return None
     for left in itertools.combinations(candidates, d):
         common = g.neighbor_set(left[0])
         for v in left[1:]:

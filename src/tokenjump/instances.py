@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .graph import Graph
 
@@ -84,11 +84,6 @@ def infeasibility(graph: Graph, problem: Problem, s: frozenset[int]) -> tuple[in
     return (min(missing),) if missing else ()
 
 
-def is_feasible(graph: Graph, problem: Problem, subset: Iterable[int]) -> bool:
-    """ISR: no edge inside the set.  DSR: closed neighborhood covers V."""
-    return not infeasibility(graph, problem, frozenset(subset))
-
-
 @dataclass(frozen=True)
 class Instance:
     """A reconfiguration instance; invariants are enforced at construction."""
@@ -112,7 +107,7 @@ class Instance:
             unknown = s - self.graph.vertex_set
             if unknown:
                 raise ValueError(f"{name} set names unknown vertex {min(unknown)}")
-            if not is_feasible(self.graph, self.problem, s):
+            if infeasibility(self.graph, self.problem, s):
                 kind = "independent" if self.problem is Problem.ISR else "dominating"
                 raise ValueError(f"{name} set is not {kind}")
 

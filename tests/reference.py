@@ -356,7 +356,7 @@ def check_reduction_log(inst: Instance, log, kernel_graph: Graph) -> None:
             assert g.neighbor_set(step.vertex) & shared == shared
         else:
             raise AssertionError(f"unknown rule {step.rule!r}")
-        g = g.delete_vertex(step.vertex)
+        g = g.induced_subgraph(g.vertex_set - {step.vertex})
     assert g == kernel_graph
 
 
@@ -512,7 +512,7 @@ def remove_closed_twins(inst: Instance) -> tuple[Instance, ReductionLog]:
         if not twin_groups:
             return inst.with_graph(g), log
         vs = min(twin_groups)
-        g = g.delete_vertex(vs[1])
+        g = g.induced_subgraph(g.vertex_set - {vs[1]})
         log.append(ReductionStep("twin", vs[1], {"survivor": vs[0]}))
 
 
@@ -641,7 +641,7 @@ def reduce_low_degree_once(inst: Instance, d: int):
         center,
         {"core": sorted(flower.core), "petal_centers": centers},
     )
-    return inst.with_graph(g.delete_vertex(center)), step
+    return inst.with_graph(g.induced_subgraph(g.vertex_set - {center})), step
 
 
 def kernelize_degenerate(inst: Instance) -> tuple[Instance, ReductionLog, int]:
@@ -762,7 +762,7 @@ def reduce_quasiwide_once(inst: Instance, params: QuasiWideParams):
             "deletions": sorted(cert.deleted),
         },
     )
-    return inst.with_graph(g.delete_vertex(petals[0])), step
+    return inst.with_graph(g.induced_subgraph(g.vertex_set - {petals[0]})), step
 
 
 def kernelize_quasiwide(

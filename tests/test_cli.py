@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from tokenjump import (
     QuasiWideParams,
+    ReductionLog,
     gen_random_degenerate,
     kernelize_degenerate,
     kernelize_quasiwide,
@@ -22,7 +23,7 @@ from tokenjump import (
     solve_isr_degenerate,
 )
 import tokenjump
-from tokenjump import cli
+from tokenjump import cli, degenerate, dsr
 from tokenjump.instances import kernel_to_json, rules_to_json
 from tokenjump.cli import main
 
@@ -296,7 +297,7 @@ def test_stats_fields(capsys, p4_file):
 def test_stats_skips_bicliques_past_the_work_cap(capsys, tmp_path):
     """The n = 2000 forest has 1,015 vertices of degree 2 or more and 500 of
     degree 3 or more, so both exhaustive checks would try more left sides
-    than ``cli._BICLIQUE_WORK_CAP`` allows."""
+    than ``graph.BICLIQUE_WORK_CAP`` allows."""
     path = tmp_path / "forest2000.isr"
     code, _, _ = run(capsys, "gen", "--n", "2000", "--d", "1", "--k", "2", "--seed", "1",
                      "--out", str(path))
@@ -484,6 +485,53 @@ def test_internal_error_exits_70(capsys, monkeypatch, p4_file, pipeline, exc):
     assert code == 70
     assert out == ""
     assert err == f"tokenjump: internal error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["kernelize"], ["kernelize", "--strategy", "quasiwide"], ["solve"]]
+)
+def test_a_workspace_log_that_deletes_a_vertex_twice_exits_70(
+    capsys, monkeypatch, tmp_path, argv
+):
+    """Each ISR kernel is the replay of its log, so a log that names its
+    first vertex twice cannot ship with a kernel that deletes it once."""
+    path = str(tmp_path / "forest.isr")
+    assert main(["gen", "--n", "250", "--d", "1", "--k", "2", "--seed", "1", "--out", path]) == 0
+    delete = degenerate.Workspace.delete
+
+    def delete_first_twice(self, i, step):
+        nb = delete(self, i, step)
+        if len(self.log) == 1:
+            self.log.append(step)
+        return nb
+
+    monkeypatch.setattr(degenerate.Workspace, "delete", delete_first_twice)
+    code, out, err = run(capsys, *argv, path)
+    assert code == 70 and out == ""
+    assert err.startswith("tokenjump: internal error: KeyError: ")
+    assert "not in graph" in err
+
+
+def test_a_core_twin_log_that_deletes_each_vertex_twice_exits_70(
+    capsys, monkeypatch, tmp_path
+):
+    """The DSR kernel is the replay of its log as well."""
+    tree, gadget = str(tmp_path / "tree.isr"), tmp_path / "gadget.dsr"
+    assert main(["gen", "--n", "4", "--d", "1", "--k", "2", "--seed", "1", "--out", tree]) == 0
+    code, out, _ = run(capsys, "convert", tree)
+    gadget.write_text(json.loads(out)["instance"])
+    code, out, _ = run(capsys, "kernelize", str(gadget))
+    assert code == 0 and json.loads(out)["rules"]
+
+    class DoubledLog(ReductionLog):
+        def append(self, step):
+            super().append(step)
+            super().append(step)
+
+    monkeypatch.setattr(dsr, "ReductionLog", DoubledLog)
+    code, out, err = run(capsys, "kernelize", str(gadget))
+    assert code == 70 and out == ""
+    assert "not in graph" in err
 
 
 SMALL_INT = st.integers(-1, 6)

@@ -12,11 +12,11 @@ from tokenjump import (
     Verdict,
     bfs_reconfig,
     gen_random_degenerate,
-    is_feasible,
     parse_instance,
     plant_isr_instance,
     verify_sequence,
 )
+from tokenjump.instances import infeasibility
 
 import reference
 
@@ -30,10 +30,10 @@ def seq(*sets):
 
 def test_is_feasible_edge_cases():
     g = Graph(range(3), [(0, 1), (1, 2)])
-    assert is_feasible(g, Problem.ISR, frozenset())
-    assert not is_feasible(g, Problem.DSR, frozenset())
-    assert is_feasible(g, Problem.DSR, frozenset({1}))
-    assert not is_feasible(g, Problem.ISR, frozenset({0, 1}))
+    assert infeasibility(g, Problem.ISR, frozenset()) == ()
+    assert infeasibility(g, Problem.DSR, frozenset()) == (0,)
+    assert infeasibility(g, Problem.DSR, frozenset({1})) == ()
+    assert infeasibility(g, Problem.ISR, frozenset({0, 1})) == (0, 1)
 
 
 def test_p4_shortest_witness_matches_brute_force():
@@ -194,8 +194,8 @@ def test_is_feasible_matches_pairwise_and_cover_checks():
         covered = all(
             v in s or any((min(u, v), max(u, v)) in edges for u in s) for v in range(n)
         )
-        assert is_feasible(g, Problem.ISR, s) is independent
-        assert is_feasible(g, Problem.DSR, s) is covered
+        assert (infeasibility(g, Problem.ISR, s) == ()) is independent
+        assert (infeasibility(g, Problem.DSR, s) == ()) is covered
 
 
 def test_verify_rejects_unknown_vertex():

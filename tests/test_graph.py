@@ -11,7 +11,13 @@ from tokenjump import (
     kernelize_degenerate,
     plant_isr_instance,
 )
-from tokenjump.graph import bitset_index, degeneracy_core, set_bits, union_of
+from tokenjump.graph import (
+    BICLIQUE_WORK_CAP,
+    bitset_index,
+    degeneracy_core,
+    set_bits,
+    union_of,
+)
 
 import reference
 
@@ -155,9 +161,9 @@ def test_derived_graphs_start_without_an_index():
     g = star(3)
     bitset_index(g)
     assert g._index is not None
-    for h in (g.delete_vertex(1), g.induced_subgraph([0, 2, 3])):
-        assert h._index is None
-        assert bitset_index(h) == ((0, 2, 3), {0: 0, 2: 1, 3: 2}, [0b110, 0b001, 0b001])
+    h = g.induced_subgraph([0, 2, 3])
+    assert h._index is None
+    assert bitset_index(h) == ((0, 2, 3), {0: 0, 2: 1, 3: 2}, [0b110, 0b001, 0b001])
 
 
 def test_kernelization_leaves_the_parsed_index_intact():
@@ -191,25 +197,21 @@ def test_neighbors_are_sorted_ascending():
     assert g.neighbors(4) == (0, 2, 3)
 
 
-def test_delete_vertex_examples():
-    assert path(3).delete_vertex(2) == path(2)
-    hub_gone = star(3).delete_vertex(0)
+def test_induced_subgraph_examples():
+    assert path(3).induced_subgraph([0, 1]) == path(2)
+    hub_gone = star(3).induced_subgraph([1, 2, 3])
     assert hub_gone.m == 0 and hub_gone.vertices == (1, 2, 3)
-    k3 = complete(4).delete_vertex(3)
+    k3 = complete(4).induced_subgraph(range(3))
     assert k3.n == 3 and k3.m == 3
-    with pytest.raises(KeyError):
-        path(3).delete_vertex(5)
 
 
 @given(graphs(), st.data())
-def test_delete_vertex_preserves_surviving_adjacency(g, data):
-    if g.n == 0:
-        return
-    v = data.draw(st.sampled_from(g.vertices))
-    g2 = g.delete_vertex(v)
-    assert g2.vertex_set == g.vertex_set - {v}
-    for u in g2.vertices:
-        assert g2.neighbor_set(u) == g.neighbor_set(u) - {v}
+def test_induced_subgraph_preserves_surviving_adjacency(g, data):
+    keep = data.draw(st.sets(st.sampled_from(g.vertices))) if g.n else set()
+    h = g.induced_subgraph(keep)
+    assert h.vertex_set == keep
+    for u in h.vertices:
+        assert h.neighbor_set(u) == g.neighbor_set(u) & keep
 
 
 @given(graphs())
@@ -228,6 +230,16 @@ def test_contains_biclique_examples():
     assert not contains_biclique(Graph(range(3)), 1)
     with pytest.raises(ValueError):
         contains_biclique(path(2), 0)
+
+
+def test_contains_biclique_gives_up_past_the_work_cap():
+    """P_634 has 632 vertices of degree 2, so 199,396 left sides for
+    K_{2,2}; P_635 has 633, so 200,028, past the cap.  Neither has a
+    vertex of degree 3."""
+    assert BICLIQUE_WORK_CAP == 200_000
+    assert contains_biclique(path(634), 2) is False
+    assert contains_biclique(path(635), 2) is None
+    assert contains_biclique(path(635), 3) is False
 
 
 @given(st.integers(1, 30), st.integers(1, 3), st.integers(0, 1000))

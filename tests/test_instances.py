@@ -16,7 +16,6 @@ from tokenjump import (
     Verdict,
     bfs_reconfig,
     gen_random_degenerate,
-    is_feasible,
     kernelize_degenerate,
     kernelize_dsr,
     kernelize_quasiwide,
@@ -28,7 +27,7 @@ from tokenjump import (
     serialize_instance,
     serialize_report,
 )
-from tokenjump.instances import KNOWN_RULES, rules_to_json
+from tokenjump.instances import KNOWN_RULES, infeasibility, rules_to_json
 
 import reference
 
@@ -200,8 +199,8 @@ def test_plant_dsr_produces_valid_instances():
     g = gen_random_degenerate(12, 2, 3)
     inst = plant_dsr_instance(g, 3, 5)
     assert inst is not None
-    assert is_feasible(g, Problem.DSR, inst.source)
-    assert is_feasible(g, Problem.DSR, inst.target)
+    assert infeasibility(g, Problem.DSR, inst.source) == ()
+    assert infeasibility(g, Problem.DSR, inst.target) == ()
 
 
 def test_reduction_log_replay():
@@ -209,7 +208,7 @@ def test_reduction_log_replay():
     log = ReductionLog()
     log.append(ReductionStep("twin", 3, {"survivor": 1}))
     log.append(ReductionStep("twin", 0, {"survivor": 1}))
-    assert replay_reductions(g, log) == g.delete_vertex(3).delete_vertex(0)
+    assert replay_reductions(g, log) == g.induced_subgraph([1, 2])
     assert log.deleted_vertices() == [3, 0]
 
 
@@ -229,7 +228,7 @@ def test_replay_matches_deleting_step_by_step():
     kern = kernelize_degenerate(inst)
     g = inst.graph
     for step in kern.log:
-        g = g.delete_vertex(step.vertex)
+        g = g.induced_subgraph(g.vertex_set - {step.vertex})
     assert len(kern.log) == 1834
     assert replay_reductions(inst.graph, kern.log) == g == kern.kernel.graph
 

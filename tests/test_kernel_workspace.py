@@ -174,8 +174,8 @@ def test_kernels_rebuild_nothing_per_deletion(monkeypatch):
 
         return wrapper
 
-    for name in ("delete_vertex", "induced_subgraph"):
-        monkeypatch.setattr(Graph, name, counted(name, getattr(Graph, name)))
+    induced_subgraph = counted("induced_subgraph", Graph.induced_subgraph)
+    monkeypatch.setattr(Graph, "induced_subgraph", induced_subgraph)
     for module in (graph, degenerate):  # monkeypatch fails on a name that is gone
         for name in ("bitset_index", "degeneracy_core"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -191,6 +191,24 @@ def test_kernels_rebuild_nothing_per_deletion(monkeypatch):
         assert calls["bitset_index"] >= 1
         assert calls["degeneracy_core"] == peels
         assert max(calls.values()) <= 2, dict(calls)
+
+
+def test_bound_check_peels_a_kernel_that_deletes_nothing(monkeypatch):
+    """The check trusts no maintained d: it peels the kernel's own graph
+    again even when that graph is the input's."""
+    inst = plant_isr_instance(gen_random_degenerate(30, 2, 1), 2, 1)
+    peels = 0
+    degeneracy_core = degenerate.degeneracy_core
+
+    def counted(*args):
+        nonlocal peels
+        peels += 1
+        return degeneracy_core(*args)
+
+    monkeypatch.setattr(degenerate, "degeneracy_core", counted)
+    kern = kernelize_degenerate(inst)
+    assert len(kern.log) == 0 and kern.kernel is inst
+    assert peels == 2
 
 
 def test_hopeless_scattered_search_computes_few_balls(monkeypatch):
