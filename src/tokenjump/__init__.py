@@ -39,13 +39,11 @@ from .degenerate import (
     kernel_vertex_bound,
     kernelize_degenerate,
     low_degree_threshold,
-    solve_isr_degenerate,
 )
 from .quasiwide import (
     QuasiWideParams,
     kernelize_quasiwide,
     partition_by_solution_neighborhood,
-    solve_isr_quasiwide,
 )
 from .dsr import (
     DominationCore,
@@ -53,7 +51,6 @@ from .dsr import (
     compute_bounded_core,
     kernelize_dsr,
     remove_core_twins,
-    solve_dsr,
 )
 from .hardness import (
     GadgetMap,
@@ -64,5 +61,6 @@ from .hardness import (
     lift_sequence,
     map_sequence_back,
 )
+from .cli import solve_dsr, solve_isr_degenerate, solve_isr_quasiwide
 
 __version__ = "0.1.0"

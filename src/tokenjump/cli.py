@@ -8,8 +8,7 @@ import os
 import sys
 import time
 
-from .degenerate import kernelize_degenerate, solve_isr_degenerate
-from .dsr import kernelize_dsr, solve_dsr
+from . import degenerate, dsr, quasiwide
 from .engine import (
     DEFAULT_STATE_BUDGET,
     ReconfSequence,
@@ -22,6 +21,7 @@ from .graph import bitset_index, contains_biclique, degeneracy_core
 from .hardness import isr_to_dsr
 from .instances import (
     MAX_VERTICES,
+    Instance,
     InstanceFormatError,
     Problem,
     ReductionLog,
@@ -37,12 +37,7 @@ from .instances import (
     serialize_instance,
     serialize_report,
 )
-from .quasiwide import (
-    QuasiWideParams,
-    kernelize_quasiwide,
-    partition_by_solution_neighborhood,
-    solve_isr_quasiwide,
-)
+from .quasiwide import QuasiWideParams, partition_by_solution_neighborhood
 
 EX_OK = 0
 EX_NO = 1
@@ -93,15 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("instance", nargs="?", help="instance path (default: stdin)")
 
-    def add_out(p):
-        p.add_argument("--out", help="write output to this path instead of stdout")
+    def add_out(p):  # "--out -" writes to stdout, as a "-" input reads stdin
+        p.add_argument("--out", type=lambda out: None if out == "-" else out,
+                       help="write output to this path instead of stdout")
 
-    quasiwide = QuasiWideParams()  # the flags' defaults
+    defaults = QuasiWideParams()  # the quasiwide flags' defaults
 
     def add_quasiwide_flags(p):
-        p.add_argument("--class-threshold", type=_positive, default=quasiwide.class_threshold)
-        p.add_argument("--max-deletions", type=_non_negative, default=quasiwide.max_deletions)
-        p.add_argument("--search-budget", type=_positive, default=quasiwide.search_budget)
+        p.add_argument("--class-threshold", type=_positive, default=defaults.class_threshold)
+        p.add_argument("--max-deletions", type=_non_negative, default=defaults.max_deletions)
+        p.add_argument("--search-budget", type=_positive, default=defaults.search_budget)
 
     p = sub.add_parser("solve", help="decide an instance and emit a report")
     add_input(p)
@@ -184,18 +180,69 @@ def _read_instance(args):
     return inst
 
 
+def _kernelize(
+    inst: Instance, strategy: str, params: QuasiWideParams | None
+) -> tuple[Instance, ReductionLog]:
+    """The kernel of ``inst`` under ``strategy`` and its log: the one map from a
+    strategy and a problem to a kernelizer.  ``auto`` keeps an ISR ``inst`` where
+    ``degenerate._kernel_is_identity`` shows that no rule can fire.  Kernelizers
+    are read off their modules at call time, so a binding replaced there is called.
+    """
+    if strategy == "oracle":
+        return inst, ReductionLog()
+    if strategy == "quasiwide":
+        return quasiwide.kernelize_quasiwide(inst, params)
+    if inst.problem is Problem.DSR:
+        kernel, log, _core = dsr.kernelize_dsr(inst)
+        return kernel, log
+    if degenerate._kernel_is_identity(inst):
+        return inst, ReductionLog()
+    kern = degenerate.kernelize_degenerate(inst)
+    return kern.kernel, kern.log
+
+
+def _solve(
+    inst: Instance, strategy: str, params: QuasiWideParams | None, budget: int
+) -> SolveResult:
+    """Kernelize ``inst`` under ``strategy``, then search the kernel.
+
+    Every deletion preserves the answer, so the verdict applies to ``inst``,
+    and a yes-sequence never touches a deleted vertex, so it is valid there.
+    """
+    kernel, log = _kernelize(inst, strategy, params)
+    return SolveResult(bfs_reconfig(kernel, budget), log, kernel)
+
+
+def solve_isr_degenerate(inst: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
+    """The low-degree kernel, then the search; its witness is not claimed
+    shortest for ``inst``."""
+    if inst.problem is not Problem.ISR:
+        raise ValueError("this reduction applies to ISR instances only")
+    return _solve(inst, "auto", None, budget)
+
+
+def solve_isr_quasiwide(
+    inst: Instance, params: QuasiWideParams, budget: int = DEFAULT_STATE_BUDGET
+) -> SolveResult:
+    """The scattered-set kernel, then the search of the residual graph."""
+    return _solve(inst, "quasiwide", params, budget)
+
+
+def solve_dsr(inst: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
+    """The domination core, strong-irrelevance removal, then the search.
+
+    Only strongly irrelevant vertices are deleted, so a yes-sequence is also
+    shortest for ``inst``.
+    """
+    if inst.problem is not Problem.DSR:
+        raise ValueError("solve_dsr applies to DSR instances only")
+    return _solve(inst, "auto", None, budget)
+
+
 def _cmd_solve(args) -> int:
     inst = _read_instance(args)
     start = time.perf_counter()
-    if args.strategy == "oracle":
-        outcome = bfs_reconfig(inst, args.state_budget)
-        result = SolveResult(outcome, ReductionLog(), inst)
-    elif args.strategy == "quasiwide":
-        result = solve_isr_quasiwide(inst, _quasiwide_params(args), args.state_budget)
-    elif inst.problem is Problem.ISR:
-        result = solve_isr_degenerate(inst, args.state_budget)
-    else:
-        result = solve_dsr(inst, args.state_budget)
+    result = _solve(inst, args.strategy, _quasiwide_params(args), args.state_budget)
     ms = int((time.perf_counter() - start) * 1000)
     _emit(
         serialize_report(result.outcome, result.log, result.kernel.graph, ms=ms),
@@ -205,14 +252,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_kernelize(args) -> int:
-    inst = _read_instance(args)
-    if args.strategy == "quasiwide":
-        kernel, log = kernelize_quasiwide(inst, _quasiwide_params(args))
-    elif inst.problem is Problem.ISR:
-        kern = kernelize_degenerate(inst)
-        kernel, log = kern.kernel, kern.log
-    else:
-        kernel, log, _core = kernelize_dsr(inst)
+    kernel, log = _kernelize(_read_instance(args), args.strategy, _quasiwide_params(args))
     payload = {
         "instance": serialize_instance(kernel),
         "kernel": kernel_to_json(kernel.graph, log),

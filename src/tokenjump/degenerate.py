@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import Graph, bitset_index, degeneracy_core, mask_of, set_bits
 from .instances import (
     RULE_SUNFLOWER,
@@ -42,7 +41,6 @@ __all__ = [
     "low_degree_threshold",
     "kernel_vertex_bound",
     "kernelize_degenerate",
-    "solve_isr_degenerate",
 ]
 
 
@@ -347,37 +345,21 @@ def kernelize_degenerate(inst: Instance) -> DegenerateKernel:
 
 
 def _kernel_is_identity(inst: Instance) -> bool:
-    """Whether ``kernelize_degenerate(inst)`` would return ``inst`` unchanged."""
+    """Whether ``kernelize_degenerate(inst)`` would return ``inst`` unchanged.
+
+    No rule fires when no two non-anchor vertices are closed twins and the r
+    non-anchors number at most t = ``low_degree_threshold(1, k)``, taken at
+    d = 0 on an edgeless graph: an edge gives d >= 1, t grows with d, and
+    only non-anchors are low.  The kernel is then ``inst`` with an empty log,
+    so the workspace and the peel can be skipped.  The bound check holds
+    there unrun: d is the input's, and r <= t <= t_d =
+    ``low_degree_threshold(d, k)``, so at most t_d vertices are low,
+    r <= (2d + 1)t_d and n <= r + 2k is within ``kernel_vertex_bound``.
+    ``kernelize_degenerate`` itself always runs the rules and the check.
+    """
     _, pos, nbr = bitset_index(inst.graph)
     rest = ((1 << len(nbr)) - 1) & ~mask_of(pos, inst.anchors)
     count = rest.bit_count()
     if count > low_degree_threshold(1 if any(nbr) else 0, inst.k):
         return False
     return len({nbr[i] | 1 << i for i in set_bits(rest)}) == count
-
-
-def solve_isr_degenerate(
-    inst: Instance, budget: int = DEFAULT_STATE_BUDGET
-) -> SolveResult:
-    """Kernelize, then search the kernel; or search ``inst`` if no rule can fire.
-
-    No rule fires when no two non-anchor vertices are closed twins and the r
-    non-anchors number at most t = ``low_degree_threshold(1, k)``, taken at
-    d = 0 on an edgeless graph: an edge gives d >= 1, t grows with d, and
-    only non-anchors are low.  The kernel is then ``inst`` with an empty log,
-    so searching ``inst`` gives the kernel path's result and report without
-    the workspace or the peel.  The bound check holds there unrun: d is the
-    input's, and r <= t <= t_d = ``low_degree_threshold(d, k)``, so at most
-    t_d vertices are low, r <= (2d + 1)t_d and n <= r + 2k is within
-    ``kernel_vertex_bound``.  ``kernelize_degenerate`` always runs the
-    rules and the check.
-
-    The verdict applies to the original instance.  A yes-sequence is valid in
-    the original graph as well (deleted vertices are never touched by it) but
-    is not claimed shortest for the original instance.
-    """
-    if inst.problem is Problem.ISR and _kernel_is_identity(inst):
-        return SolveResult(bfs_reconfig(inst, budget), ReductionLog(), inst)
-    kern = kernelize_degenerate(inst)
-    outcome = bfs_reconfig(kern.kernel, budget)
-    return SolveResult(outcome=outcome, log=kern.log, kernel=kern.kernel)

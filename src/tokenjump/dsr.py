@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import Graph, bitset_index
 from .instances import (
     RULE_CORE_TWIN,
@@ -36,7 +35,6 @@ __all__ = [
     "compute_bounded_core",
     "remove_core_twins",
     "kernelize_dsr",
-    "solve_dsr",
 ]
 
 
@@ -139,16 +137,3 @@ def kernelize_dsr(inst: Instance) -> tuple[Instance, ReductionLog, DominationCor
     core = compute_bounded_core(inst.graph, inst.k)
     kernel, log = remove_core_twins(inst, core)
     return kernel, log, core
-
-
-def solve_dsr(inst: Instance, budget: int = DEFAULT_STATE_BUDGET) -> SolveResult:
-    """Core computation, strong-irrelevance removal, then kernel search.
-
-    Because only strongly irrelevant vertices are deleted, a yes-sequence is
-    shortest for the original instance, and it is valid there as well.
-    """
-    if inst.problem is not Problem.DSR:
-        raise ValueError("solve_dsr applies to DSR instances only")
-    kernel, log, _core = kernelize_dsr(inst)
-    outcome = bfs_reconfig(kernel, budget)
-    return SolveResult(outcome=outcome, log=log, kernel=kernel)

@@ -32,7 +32,6 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .degenerate import Workspace
-from .engine import DEFAULT_STATE_BUDGET, SolveResult, bfs_reconfig
 from .graph import Graph, set_bits, union_of
 from .instances import (
     RULE_QUASIWIDE,
@@ -46,7 +45,6 @@ __all__ = [
     "QuasiWideParams",
     "partition_by_solution_neighborhood",
     "kernelize_quasiwide",
-    "solve_isr_quasiwide",
 ]
 
 
@@ -407,14 +405,3 @@ def kernelize_quasiwide(
     ws = _ScatteredWorkspace(inst.graph, inst.anchors)
     ws.run(lambda: ws.scattered_once(inst.k, params))
     return ws.reduced(inst), ws.log
-
-
-def solve_isr_quasiwide(
-    inst: Instance,
-    params: QuasiWideParams,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> SolveResult:
-    """Reduce to a fixpoint, then search the residual graph."""
-    kernel, log = kernelize_quasiwide(inst, params)
-    outcome = bfs_reconfig(kernel, budget)
-    return SolveResult(outcome=outcome, log=log, kernel=kernel)

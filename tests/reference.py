@@ -1048,3 +1048,52 @@ def blocked_corpus() -> list[Instance]:
                 corpus.append(isr_to_dsr(inst)[0])
         _cache["blocked"] = corpus
     return _cache["blocked"]
+
+
+# -- exhaustive families --------------------------------------------------------
+
+
+def _ahu(adj: list[list[int]], v: int, parent: int) -> str:
+    """The AHU string of the subtree at ``v``: its children's strings, sorted, in brackets."""
+    return "(" + "".join(sorted(_ahu(adj, w, v) for w in adj[v] if w != parent)) + ")"
+
+
+def _tree_key(n: int, edges: list[tuple[int, int]]) -> str:
+    """A canonical string of a tree: the least AHU string rooted at a centre.
+
+    The centres, the vertices of least eccentricity, are one or two, and an
+    isomorphism maps centres to centres, so the key names the tree's class.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    ecc = []
+    for root in range(n):
+        dist, queue = {root: 0}, deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        ecc.append(max(dist.values()))
+    return min(_ahu(adj, c, -1) for c in range(n) if ecc[c] == min(ecc))
+
+
+def free_trees(n: int) -> list[Graph]:
+    """Every tree on vertices 0..n-1, one per isomorphism class (n >= 1).
+
+    Each tree on n - 1 vertices gets a leaf n - 1 at each of its vertices in
+    turn, and the first tree met of each canonical key is kept.  Every tree
+    on n vertices arises so, by deleting one of its leaves and relabelling.
+    """
+    trees: list[list[tuple[int, int]]] = [[]]
+    for size in range(2, n + 1):
+        kept: dict[str, list[tuple[int, int]]] = {}
+        for edges in trees:
+            for v in range(size - 1):
+                grown = edges + [(v, size - 1)]
+                kept.setdefault(_tree_key(size, grown), grown)
+        trees = list(kept.values())
+    return [Graph(range(n), edges) for edges in trees]

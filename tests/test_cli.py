@@ -20,12 +20,16 @@ from tokenjump import (
     parse_report,
     plant_isr_instance,
     serialize_instance,
+    solve_dsr,
     solve_isr_degenerate,
+    solve_isr_quasiwide,
 )
 import tokenjump
 from tokenjump import cli, degenerate, dsr
 from tokenjump.instances import kernel_to_json, rules_to_json
 from tokenjump.cli import main
+
+import reference
 
 P4_TEXT = "p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n"
 C4_TEXT = "p isr 4 4 2\ne 1 2\ne 2 3\ne 3 4\ne 1 4\ns 1 3\nt 2 4\n"
@@ -258,6 +262,46 @@ def test_solve_and_kernelize_write_one_rule_per_line(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "strategy, corpus, solver",
+    [
+        (
+            "auto",
+            lambda: [plant_isr_instance(gen_random_degenerate(250, 1, 1), 2, 1)],
+            solve_isr_degenerate,
+        ),
+        ("quasiwide", reference.hub_corpus, lambda inst: solve_isr_quasiwide(inst, QuasiWideParams())),
+        ("auto", reference.dsr_corpus, solve_dsr),
+    ],
+    ids=["isr-auto", "isr-quasiwide", "dsr-auto"],
+)
+def test_named_solvers_equal_the_cli(capsys, tmp_path, strategy, corpus, solver):
+    """Each named solver is ``solve``'s pipeline: its kernel, rules, verdict
+    and witness are those of ``solve``'s report, and its kernel and rules
+    those ``kernelize`` writes, on a corpus where that kernel deletes."""
+    path = tmp_path / "instance.txt"
+    deleting = 0
+    for inst in corpus():
+        result = solver(inst)
+        deleting += bool(result.log.steps)
+        kernel = kernel_to_json(result.kernel.graph, result.log)
+        rules = rules_to_json(result.log)
+        path.write_text(serialize_instance(inst))
+        code, out, _ = run(capsys, "solve", str(path), "--strategy", strategy)
+        report = json.loads(out)
+        assert code == cli._EXIT_CODES[result.outcome.verdict]
+        assert report["answer"] == result.outcome.verdict.value
+        assert report["kernel"] == kernel and report["rules"] == rules
+        sequence = result.outcome.sequence
+        assert report.get("sequence") == (
+            sequence and [sorted(v + 1 for v in s) for s in sequence.sets]
+        )
+        code, out, _ = run(capsys, "kernelize", str(path), "--strategy", strategy)
+        payload = json.loads(out)
+        assert code == 0 and payload["kernel"] == kernel and payload["rules"] == rules
+    assert deleting > 0
+
+
 def test_kernelize_dsr(capsys, tmp_path):
     path = tmp_path / "p3.dsr"
     path.write_text(DSR_TEXT)
@@ -468,19 +512,19 @@ def test_missing_file_exits_65(capsys):
 
 
 @pytest.mark.parametrize(
-    "pipeline, exc",
-    [
-        ("solve_isr_degenerate", RuntimeError("kernel bound violated")),
-        ("solve_isr_degenerate", MemoryError()),
-        ("solve_isr_quasiwide", RuntimeError("sunflower extraction failed")),
+    "target, exc",
+    [  # what the solve pipeline calls: the search under auto, the kernel under quasiwide
+        ("tokenjump.cli.bfs_reconfig", RuntimeError("kernel bound violated")),
+        ("tokenjump.cli.bfs_reconfig", MemoryError()),
+        ("tokenjump.quasiwide.kernelize_quasiwide", RuntimeError("sunflower extraction failed")),
     ],
 )
-def test_internal_error_exits_70(capsys, monkeypatch, p4_file, pipeline, exc):
+def test_internal_error_exits_70(capsys, monkeypatch, p4_file, target, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, pipeline, fail)
-    strategy = "quasiwide" if "quasiwide" in pipeline else "auto"
+    monkeypatch.setattr(target, fail)
+    strategy = "quasiwide" if "quasiwide" in target else "auto"
     code, out, err = run(capsys, "solve", p4_file, "--strategy", strategy)
     assert code == 70
     assert out == ""
@@ -645,3 +689,13 @@ def test_out_is_not_created_when_the_input_is_bad(capsys, tmp_path):
     code, _, _ = run(capsys, "solve", str(bad), "--out", str(out_path))
     assert code == 65
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["kernelize", "convert", "stats"])
+def test_out_dash_writes_to_stdout(capsys, monkeypatch, tmp_path, p4_file, command):
+    """``--out -`` names stdout, as ``-`` names stdin for an input."""
+    monkeypatch.chdir(tmp_path)
+    code, plain, _ = run(capsys, command, p4_file)
+    assert code == 0 and plain
+    assert run(capsys, command, p4_file, "--out", "-") == (0, plain, "")
+    assert os.listdir(tmp_path) == ["p4.isr"]
