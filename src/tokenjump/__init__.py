@@ -40,11 +40,7 @@ from .degenerate import (
     kernelize_degenerate,
     low_degree_threshold,
 )
-from .quasiwide import (
-    QuasiWideParams,
-    kernelize_quasiwide,
-    partition_by_solution_neighborhood,
-)
+from .quasiwide import QuasiWideParams, kernelize_quasiwide
 from .dsr import (
     DominationCore,
     InfeasibleInstanceError,

@@ -17,7 +17,14 @@ from .engine import (
     bfs_reconfig,
     verify_sequence,
 )
-from .graph import bitset_index, contains_biclique, degeneracy_core
+from .graph import (
+    bitset_index,
+    closed_cells,
+    contains_biclique,
+    degeneracy_core,
+    mask_of,
+    set_bits,
+)
 from .hardness import isr_to_dsr
 from .instances import (
     MAX_VERTICES,
@@ -37,7 +44,7 @@ from .instances import (
     serialize_instance,
     serialize_report,
 )
-from .quasiwide import QuasiWideParams, partition_by_solution_neighborhood
+from .quasiwide import QuasiWideParams
 
 EX_OK = 0
 EX_NO = 1
@@ -325,13 +332,16 @@ def _cmd_convert(args) -> int:
 def _cmd_stats(args) -> int:
     inst = parse_instance(_read_input(args.instance))
     g = inst.graph
-    classes = partition_by_solution_neighborhood(g, inst.anchors)
+    _, pos, nbr = bitset_index(g)
+    every = (1 << g.n) - 1
+    anchors = mask_of(pos, inst.anchors)
+    classes = closed_cells(nbr, set_bits(every & ~anchors), anchors)
     payload = {
         "problem": inst.problem.value,
         "n": g.n,
         "m": g.m,
         "k": inst.k,
-        "degeneracy": degeneracy_core(bitset_index(g)[2], (1 << g.n) - 1)[0],
+        "degeneracy": degeneracy_core(nbr, every)[0],
         "contains_biclique": {str(d): contains_biclique(g, d) for d in (2, 3)},
         "class_sizes": sorted((len(vs) for vs in classes.values()), reverse=True),
     }

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, bitset_index, degeneracy_core, mask_of, set_bits
+from .graph import Graph, bitset_index, closed_cells, degeneracy_core, mask_of, set_bits
 from .instances import (
     RULE_SUNFLOWER,
     RULE_TWIN,
@@ -81,10 +81,8 @@ class Workspace:
         self.alive = (1 << len(self.verts)) - 1
         self.anchor_mask = mask_of(self.pos, anchors)
         self.log = ReductionLog()
-        self._groups: dict[int, list[int]] = {}
         self._rekeyed = list(set_bits(self.alive & ~self.anchor_mask))
-        for i in self._rekeyed:
-            self._groups.setdefault(self.nbr[i] | 1 << i, []).append(i)
+        self._groups = closed_cells(self.nbr, self._rekeyed, self.alive)
 
     def delete(self, i: int, step: ReductionStep) -> int:
         """Delete position i, logging ``step``; returns i's neighbor mask."""

@@ -3,7 +3,8 @@
 Also the bitset helpers every layer shares, each the one place its fact is
 computed: ``bitset_index`` numbers the vertices and builds neighbor masks,
 ``mask_of`` masks a set of ids, ``set_bits`` lists a mask's positions,
-``union_of`` unites the masks at a mask's positions, and
+``union_of`` unites the masks at a mask's positions, ``closed_cells``
+groups positions by their closed neighborhood within a mask, and
 ``degeneracy_core`` peels the degeneracy and its core from those masks.
 """
 
@@ -208,6 +209,19 @@ def union_of(masks: list[int], mask: int) -> int:
         union |= masks[low.bit_length() - 1]
         mask ^= low
     return union
+
+
+def closed_cells(nbr: list[int], members: Iterable[int], within: int) -> dict[int, list[int]]:
+    """The positions i of ``members`` grouped by ``(nbr[i] | 1 << i) & within``.
+
+    Cells keep the order of ``members`` and come in order of their first
+    member.  For members outside ``within`` the key is the open neighborhood
+    in ``within``: an anchor class, or a cell of equal deletion-set neighbors.
+    """
+    cells: dict[int, list[int]] = {}
+    for i in members:
+        cells.setdefault((nbr[i] | 1 << i) & within, []).append(i)
+    return cells
 
 
 # Left sides past which ``contains_biclique`` gives up.

@@ -32,7 +32,7 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .degenerate import Workspace
-from .graph import Graph, set_bits, union_of
+from .graph import Graph, closed_cells, set_bits, union_of
 from .instances import (
     RULE_QUASIWIDE,
     Instance,
@@ -41,11 +41,7 @@ from .instances import (
     ReductionStep,
 )
 
-__all__ = [
-    "QuasiWideParams",
-    "partition_by_solution_neighborhood",
-    "kernelize_quasiwide",
-]
+__all__ = ["QuasiWideParams", "kernelize_quasiwide"]
 
 
 @dataclass(frozen=True)
@@ -70,19 +66,6 @@ class QuasiWideParams:
             raise ValueError("max_deletions must be >= 0")
         if self.search_budget < 1:
             raise ValueError("search_budget must be >= 1")
-
-
-def partition_by_solution_neighborhood(
-    g: Graph, anchors: frozenset[int]
-) -> dict[frozenset[int], tuple[int, ...]]:
-    """Partition V minus anchors into classes of equal anchor-neighborhood."""
-    anchors = frozenset(anchors)
-    classes: dict[frozenset[int], list[int]] = {}
-    for v in g.vertices:
-        if v in anchors:
-            continue
-        classes.setdefault(g.neighbor_set(v) & anchors, []).append(v)
-    return {key: tuple(vs) for key, vs in classes.items()}
 
 
 def _ball2_mask(nbr: list[int], i: int, blocked: int) -> int:
@@ -206,9 +189,8 @@ class _ScatteredWorkspace(Workspace):
 
     def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
         super().__init__(graph, anchors)
-        classes: dict[int, list[int]] = {}
-        for i in set_bits(self.alive & ~self.anchor_mask):
-            classes.setdefault(self.nbr[i] & self.anchor_mask, []).append(i)
+        rest = set_bits(self.alive & ~self.anchor_mask)
+        classes = closed_cells(self.nbr, rest, self.anchor_mask)
         self._classes = dict(sorted(classes.items(), key=lambda kv: list(set_bits(kv[0]))))
         self._balls: dict[int, int] = {}
 
@@ -388,9 +370,7 @@ class _ScatteredWorkspace(Workspace):
         if found is None:
             return None
         blocked, chosen = found
-        cells: dict[int, list[int]] = {}
-        for a in chosen:
-            cells.setdefault(self.nbr[a] & blocked, []).append(a)
+        cells = closed_cells(self.nbr, chosen, blocked)
         petals = min(cells.items(), key=lambda kv: (-len(kv[1]), list(set_bits(kv[0]))))[1]
         allowed = blocked | self.anchor_mask
         return self.delete_petal(RULE_QUASIWIDE, petals, allowed, two_k, deletions=blocked)

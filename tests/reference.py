@@ -34,7 +34,6 @@ from tokenjump import (
     isr_to_dsr,
     kernel_vertex_bound,
     low_degree_threshold,
-    partition_by_solution_neighborhood,
     plant_isr_instance,
     size_bounds,
 )
@@ -724,6 +723,19 @@ def search_scattered(
     return None
 
 
+def partition_by_solution_neighborhood(
+    g: Graph, anchors: frozenset[int]
+) -> dict[frozenset[int], tuple[int, ...]]:
+    """Partition V minus anchors into classes of equal anchor-neighborhood."""
+    anchors = frozenset(anchors)
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in g.vertices:
+        if v in anchors:
+            continue
+        classes.setdefault(g.neighbor_set(v) & anchors, []).append(v)
+    return {key: tuple(vs) for key, vs in classes.items()}
+
+
 def reduce_quasiwide_once(inst: Instance, params: QuasiWideParams):
     """Delete one petal centre found by the scattered-set search in the
     largest class above max(class_threshold, 2k), or return None."""
@@ -1097,3 +1109,12 @@ def free_trees(n: int) -> list[Graph]:
                 kept.setdefault(_tree_key(size, grown), grown)
         trees = list(kept.values())
     return [Graph(range(n), edges) for edges in trees]
+
+
+def labelled_graphs(n: int) -> list[Graph]:
+    """Every graph on vertices 0..n-1, one per edge set: 2^(n(n-1)/2) of them."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [
+        Graph(range(n), [pair for j, pair in enumerate(pairs) if bits >> j & 1])
+        for bits in range(1 << len(pairs))
+    ]

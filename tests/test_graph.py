@@ -14,6 +14,7 @@ from tokenjump import (
 from tokenjump.graph import (
     BICLIQUE_WORK_CAP,
     bitset_index,
+    closed_cells,
     degeneracy_core,
     set_bits,
     union_of,
@@ -131,6 +132,24 @@ def test_union_of_matches_a_fold_over_set_bits(masks, data):
     for i in set_bits(mask):
         union |= masks[i]
     assert union_of(masks, mask) == union
+
+
+@given(graphs(max_n=12), st.data())
+def test_closed_cells_match_a_grouping_by_closed_neighborhood(g, data):
+    """Members grouped by N[v] ∩ within on vertex sets: the same cells, each
+    in member order, and the cells in order of their first member."""
+    verts, pos, nbr = bitset_index(g)
+    members = data.draw(st.integers(0, (1 << g.n) - 1))
+    within = data.draw(st.integers(0, (1 << g.n) - 1))
+    inside = {verts[i] for i in set_bits(within)}
+    expected: dict[frozenset[int], list[int]] = {}
+    for v in (verts[i] for i in set_bits(members)):
+        expected.setdefault(g.closed_neighbor_set(v) & inside, []).append(v)
+    cells = closed_cells(nbr, set_bits(members), within)
+    assert [
+        (frozenset(verts[i] for i in set_bits(key)), [verts[i] for i in cell])
+        for key, cell in cells.items()
+    ] == list(expected.items())
 
 
 def test_bitset_index_is_built_once_per_graph():

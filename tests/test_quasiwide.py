@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import operator
 import random
 from math import comb
@@ -17,7 +18,6 @@ from tokenjump import (
     gen_random_degenerate,
     kernelize_quasiwide,
     parse_instance,
-    partition_by_solution_neighborhood,
     plant_isr_instance,
     serialize_instance,
     solve_isr_quasiwide,
@@ -28,7 +28,7 @@ from tokenjump.graph import bitset_index, set_bits
 from tokenjump.quasiwide import _ScatteredWorkspace, _balls_disjoint, _deletion_sets
 
 import reference
-from reference import ScatteredCertificate
+from reference import ScatteredCertificate, partition_by_solution_neighborhood
 
 P4 = parse_instance("p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n")
 
@@ -77,7 +77,18 @@ def star_of_stars(spokes, leaves_per_spoke):
     return Graph(range(nxt), edges)
 
 
-def test_partition_examples():
+def stats_matches_partition(inst, tmp_path, capsys):
+    """Whether ``tokenjump stats`` writes the oracle partition's class sizes,
+    largest first, as ``class_sizes``."""
+    path = tmp_path / "stats.isr"
+    path.write_text(serialize_instance(inst))
+    assert cli.main(["stats", str(path)]) == 0
+    classes = partition_by_solution_neighborhood(inst.graph, inst.anchors)
+    sizes = sorted((len(vs) for vs in classes.values()), reverse=True)
+    return json.loads(capsys.readouterr().out)["class_sizes"] == sizes
+
+
+def test_partition_examples(tmp_path, capsys):
     g = P4.graph
     assert partition_by_solution_neighborhood(g, frozenset()) == {
         frozenset(): (0, 1, 2, 3)
@@ -88,15 +99,20 @@ def test_partition_examples():
     assert partition_by_solution_neighborhood(s, frozenset({0})) == {
         frozenset({0}): (1, 2, 3, 4, 5)
     }
+    ends = Instance(Problem.ISR, g, 1, frozenset({0}), frozenset({3}))
+    hub = Instance(Problem.ISR, s, 1, frozenset({0}), frozenset({0}))
+    for inst in (P4, ends, hub):
+        assert stats_matches_partition(inst, tmp_path, capsys)
 
 
-def test_partition_class_count_bound():
+def test_partition_class_count_bound(tmp_path, capsys):
     for seed in range(10):
         inst = reference.isr_corpus()[seed][0]
         classes = partition_by_solution_neighborhood(inst.graph, inst.anchors)
         outside = inst.graph.n - len(inst.anchors & inst.graph.vertex_set)
         assert len(classes) <= min(4**inst.k, max(outside, 1))
         assert sum(len(vs) for vs in classes.values()) == outside
+        assert stats_matches_partition(inst, tmp_path, capsys)
 
 
 def test_scattered_isolated_vertices():
