@@ -144,6 +144,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()  # argparse parsers can be reused across calls
+# Each command's own parser, which parses its arguments the way the
+# top-level parser would hand them on, in about half the time.
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = next(
+    action.choices for action in _PARSER._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser parses it.
+
+    A known command's own parser reads the rest of ``argv``; anything else
+    (no argument, help, an unknown word, a flag first) goes through the
+    top-level parser, which gives help and every usage error.
+    """
+    own = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if own is None:
+        return _PARSER.parse_args(argv)
+    return own.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _read_input(path: str | None) -> str:
@@ -361,7 +380,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if args.out:
             _check_out(args.out)
         return _COMMANDS[args.command](args)

@@ -6,6 +6,13 @@ computed: ``bitset_index`` numbers the vertices and builds neighbor masks,
 ``union_of`` unites the masks at a mask's positions, ``closed_cells``
 groups positions by their closed neighborhood within a mask, and
 ``degeneracy_core`` peels the degeneracy and its core from those masks.
+
+Graphs of ISR instance text are born as their bitset index, and so are
+their induced subgraphs, the ISR kernels: every ISR layer reads only that
+index.  Graphs built from vertices and edges (the generators, the DSR
+gadget), graphs of DSR instance text and their induced subgraphs are born
+as adjacency sets, which DSR's degree-ordered core index and its core
+cells read.  Either form answers every accessor.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ class Graph:
     ``instances.replay_reductions`` builds every kernel from its log.
     Neighborhood accessors that return tuples are sorted ascending to keep
     downstream output deterministic.
+
+    A graph is born in one of two forms: adjacency sets (``_adj``), or its
+    ascending bitset index (``_index``, see ``bitset_index``).  The other
+    form is derived once, on first use, and kept.  The accessors answer from
+    the sets when they are present, else from the index, and
+    ``induced_subgraph`` keeps the form it reads.
     """
 
     __slots__ = ("_adj", "_index")
@@ -44,7 +57,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj: dict[int, frozenset[int]] = {
+        self._adj: dict[int, frozenset[int]] | None = {
             v: frozenset(ns) for v, ns in sorted(adj.items())
         }
         self._index: tuple[tuple[int, ...], dict[int, int], list[int]] | None = None
@@ -57,28 +70,81 @@ class Graph:
         g._index = None
         return g
 
+    @classmethod
+    def _of_masks(cls, nbr: list[int]) -> "Graph":
+        """The graph on ids 0..len(nbr)-1 whose open neighbor masks, bit w for
+        id w, are ``nbr``, already checked symmetric and loop-free."""
+        verts = tuple(range(len(nbr)))
+        return cls._indexed(verts, dict(zip(verts, verts)), nbr)
+
+    @classmethod
+    def _indexed(cls, verts: tuple[int, ...], pos: dict[int, int], nbr: list[int]) -> "Graph":
+        g = cls.__new__(cls)
+        g._adj = None
+        g._index = (verts, pos, nbr)
+        return g
+
+    def _sets(self) -> dict[int, frozenset[int]]:
+        """The adjacency sets, derived from the index once if the graph has none."""
+        if self._adj is None:
+            verts, _, nbr = self._index
+            self._adj = {
+                v: frozenset(verts[i] for i in set_bits(mask)) for v, mask in zip(verts, nbr)
+            }
+        return self._adj
+
+    def _ascending(self) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
+        """The bitset index in ascending order, built from the sets once."""
+        if self._index is None:
+            self._index = _build_index(self, self.vertices)
+        return self._index
+
+    def _mask(self, v: int) -> int:
+        """The neighbor mask of v in the index."""
+        _, pos, nbr = self._index
+        try:
+            return nbr[pos[v]]
+        except KeyError:
+            raise KeyError(f"vertex {v} not in graph") from None
+
     @property
     def n(self) -> int:
-        return len(self._adj)
+        adj = self._adj
+        return len(adj) if adj is not None else len(self._index[0])
 
     @property
     def m(self) -> int:
-        return sum(len(ns) for ns in self._adj.values()) // 2
+        adj = self._adj
+        if adj is not None:
+            return sum(len(ns) for ns in adj.values()) // 2
+        return sum(map(int.bit_count, self._index[2])) // 2
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._adj))
+        adj = self._adj
+        return tuple(sorted(adj)) if adj is not None else self._index[0]
 
     @property
     def vertex_set(self) -> frozenset[int]:
-        return frozenset(self._adj)
+        adj = self._adj
+        return frozenset(adj if adj is not None else self._index[0])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbor_set(v))
+        if self._adj is not None:
+            return len(self.neighbor_set(v))
+        return self._mask(v).bit_count()
 
     def neighbor_set(self, v: int) -> frozenset[int]:
+        adj = self._adj
+        if adj is None:
+            verts, mask, out = self._index[0], self._mask(v), []
+            while mask:
+                low = mask & -mask
+                out.append(verts[low.bit_length() - 1])
+                mask ^= low
+            return frozenset(out)
         try:
-            return self._adj[v]
+            return adj[v]
         except KeyError:
             raise KeyError(f"vertex {v} not in graph") from None
 
@@ -99,12 +165,28 @@ class Graph:
         unknown = kept - self.vertex_set
         if unknown:
             raise KeyError(f"vertex {min(unknown)} not in graph")
-        return Graph._of({u: self._adj[u] & kept for u in sorted(kept)})
+        order = sorted(kept)
+        if self._adj is not None:
+            return Graph._of({u: self._adj[u] & kept for u in order})
+        verts, pos, nbr = self._index
+        new_pos = {v: i for i, v in enumerate(order)}
+        new_nbr = []
+        for v in order:
+            mask = 0
+            for i in set_bits(nbr[pos[v]]):
+                j = new_pos.get(verts[i])
+                if j is not None:
+                    mask |= 1 << j
+            new_nbr.append(mask)
+        return Graph._indexed(tuple(order), new_pos, new_nbr)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        if self._adj is not None and other._adj is not None:
+            return self._adj == other._adj
+        mine, theirs = self._ascending(), other._ascending()
+        return mine[0] == theirs[0] and mine[2] == theirs[2]
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -129,9 +211,7 @@ def bitset_index(
     """
     if order is not None:
         return _build_index(g, tuple(order))
-    if g._index is None:
-        g._index = _build_index(g, g.vertices)
-    verts, pos, nbr = g._index
+    verts, pos, nbr = g._ascending()
     return verts, pos, list(nbr)
 
 
@@ -139,10 +219,11 @@ def _build_index(
     g: Graph, verts: tuple[int, ...]
 ) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
     pos = {v: i for i, v in enumerate(verts)}
+    adj = g._sets()
     nbr = []
     for v in verts:
         mask = 0
-        for w in g._adj[v]:
+        for w in adj[v]:
             mask |= 1 << pos[w]
         nbr.append(mask)
     return verts, pos, nbr

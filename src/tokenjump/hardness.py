@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .engine import ReconfSequence, Verdict, bfs_reconfig
-from .graph import Graph
+from .graph import Graph, bitset_index
 from .instances import Instance, Problem
 
 __all__ = [
@@ -146,12 +146,13 @@ def isr_to_dsr(inst: Instance) -> tuple[Instance, GadgetMap]:
         for i in range(1, k + 1)
     ]
 
+    _, _, nbr = bitset_index(g)  # ids are 0..n-1, so id v is bit v
     guards: list[GuardSet] = []
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             for p in range(1, n + 1):
                 for q in range(1, n + 1):
-                    if p != q and (q - 1) not in g.neighbor_set(p - 1):
+                    if p != q and not nbr[p - 1] >> q - 1 & 1:
                         continue
                     excluded = {clique_vertex[(i, p)], clique_vertex[(j, q)]}
                     targets = [

@@ -39,6 +39,13 @@ from tokenjump import (
 )
 from tokenjump.degenerate import extract_sunflower
 from tokenjump.graph import bitset_index, degeneracy_core
+from tokenjump.instances import (
+    MAX_VERTICES,
+    InstanceFormatError,
+    _decode,
+    _int_error,
+    _ints,
+)
 
 ISR_CORPUS_SIZE = 500
 DSR_CORPUS_SIZE = 300
@@ -594,6 +601,101 @@ def assert_same_reductions(ours, ref, k: int) -> None:
     kernels and the rest, and petal lists that are prefixes of the reference's."""
     kernel, log, *rest = ref
     assert ours == (kernel, two_k_petals(log, k), *rest)
+
+
+# -- the adjacency-set parser that the ISR bitset parser replaced -----------
+#
+# ``parse_instance`` as it was before ISR text was parsed straight into the
+# bitset index: every graph is built as adjacency sets.  The differential
+# test in test_instances.py holds the library's parser to it.
+
+
+def parse_instance(data: str | bytes) -> Instance:
+    data = _decode(data, InstanceFormatError)
+    header: tuple[Problem, int, int, int] | None = None
+    edge_lines: dict[tuple[int, int], int] = {}  # file edge -> its line
+    source: list[int] | None = None
+    target: list[int] | None = None
+
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] in "#c":
+            continue
+        tag = parts[0]
+        if tag == "e" and header is not None:
+            if len(parts) != 3:
+                raise InstanceFormatError("edge line must be 'e <u> <v>'", line_no)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise _int_error(parts[1:], line_no) from None
+            if not 1 <= u < v <= n:
+                raise InstanceFormatError(
+                    f"edge ({u}, {v}) must satisfy 1 <= u < v <= n", line_no
+                )
+            first = edge_lines.setdefault((u, v), line_no)
+            if first != line_no:
+                raise InstanceFormatError(
+                    f"duplicate edge ({u}, {v}), first seen on line {first}", line_no
+                )
+            continue
+        if tag == "p":
+            if header is not None:
+                raise InstanceFormatError("duplicate problem line", line_no)
+            if len(parts) != 5:
+                raise InstanceFormatError(
+                    "problem line must be 'p <isr|dsr> <n> <m> <k>'", line_no
+                )
+            if parts[1] not in (Problem.ISR.value, Problem.DSR.value):
+                raise InstanceFormatError(f"unknown problem tag {parts[1]!r}", line_no)
+            n, m, k = _ints(parts[2:], line_no)
+            if n < 1:
+                raise InstanceFormatError("n must be >= 1", line_no)
+            if n > MAX_VERTICES:
+                raise InstanceFormatError(f"n must be <= {MAX_VERTICES}", line_no)
+            if m < 0:
+                raise InstanceFormatError("m must be >= 0", line_no)
+            if k < 1:
+                raise InstanceFormatError("k must be >= 1", line_no)
+            header = (Problem(parts[1]), n, m, k)
+        elif header is None:
+            raise InstanceFormatError(f"{tag!r} line before the problem line", line_no)
+        elif tag in ("s", "t"):
+            if (source if tag == "s" else target) is not None:
+                raise InstanceFormatError(f"duplicate {tag!r} line", line_no)
+            vs = _ints(parts[1:], line_no)
+            seen: set[int] = set()
+            for v in vs:
+                if not 1 <= v <= n:
+                    raise InstanceFormatError(f"vertex {v} out of range 1..{n}", line_no)
+                if v in seen:
+                    raise InstanceFormatError(f"duplicate vertex {v} in {tag!r} line", line_no)
+                seen.add(v)
+            if tag == "s":
+                source = [v - 1 for v in vs]
+            else:
+                target = [v - 1 for v in vs]
+        else:
+            raise InstanceFormatError(f"unknown line tag {tag!r}", line_no)
+
+    if header is None:
+        raise InstanceFormatError("missing problem line")
+    problem, n, m, k = header
+    if len(edge_lines) != m:
+        raise InstanceFormatError(f"expected {m} edge lines, found {len(edge_lines)}")
+    if source is None:
+        raise InstanceFormatError("missing source line")
+    if target is None:
+        raise InstanceFormatError("missing target line")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edge_lines:
+        adj[u - 1].append(v - 1)
+        adj[v - 1].append(u - 1)
+    graph = Graph._of({v: frozenset(ns) for v, ns in enumerate(adj)})
+    try:
+        return Instance(problem, graph, k, frozenset(source), frozenset(target))
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
 
 
 # -- the per-deletion ISR kernels that the reduction workspace replaced ------

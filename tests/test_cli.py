@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -421,6 +422,74 @@ def test_malformed_input_exits_65(capsys, tmp_path):
 def test_unknown_flag_exits_64(capsys, p4_file):
     code, _, err = run(capsys, "solve", p4_file, "--bogus")
     assert code == 64
+
+
+COMMANDS = ("solve", "kernelize", "verify", "gen", "convert", "stats")
+# Newer Pythons list argparse choices without quotes.
+INVALID_COMMAND = (
+    r"tokenjump: error: argument command: invalid choice: 'bogus' \(choose from "
+    + ", ".join(f"'?{name}'?" for name in COMMANDS)
+    + r"\)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], "tokenjump: error: the following arguments are required: command\n"),
+        (["bogus"], INVALID_COMMAND),
+        (["--verbose", "solve", "P4"], "tokenjump: error: unrecognized arguments: --verbose\n"),
+        (["solve", "P4", "--bogus"], "tokenjump: error: unrecognized arguments: --bogus\n"),
+    ],
+)
+def test_top_level_usage_errors(capsys, p4_file, argv, err):
+    code, out, got = run(capsys, *[p4_file if a == "P4" else a for a in argv])
+    assert (code, out) == (64, "")
+    assert re.fullmatch(err, got) if argv == ["bogus"] else got == err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tokenjump" + (" solve" if argv[0] == "solve" else ""))
+    if argv == ["-h"]:
+        assert all(f"    {name} " in out for name in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "-", "--strategy", "oracle", "--state-budget", "5", "--out", "-"],
+        ["solve", "x.isr", "--class-threshold", "7", "--max-deletions", "0"],
+        ["solve", "--", "-x"],
+        ["kernelize", "x.isr", "--strategy", "quasiwide", "--search-budget", "3"],
+        ["verify", "x.isr", "r.json", "--out", "v.json"],
+        ["gen", "--n", "5", "--d", "1", "--k", "2", "--seed", "-4", "--problem", "dsr"],
+        ["convert", "-"],
+        ["stats", "x.isr", "--out", "s.json"],
+        ["solve", "x.isr", "--strategy", "bogus"],
+        ["solve", "x.isr", "--state-budget", "0"],
+        ["solve", "a", "b"],
+        ["verify"],
+        ["gen", "--n", "5"],
+        ["gen", "--n", "100001", "--d", "1", "--k", "2"],
+        ["stats", "--strategy", "auto"],
+    ],
+)
+def test_a_command_parses_as_the_top_level_parser_parses_it(argv):
+    """``main`` hands a known command to that command's own parser."""
+
+    def parse(parser):
+        try:
+            return parser(argv)
+        except cli._UsageError as exc:
+            return str(exc)
+
+    assert parse(cli._parse_args) == parse(cli._PARSER.parse_args)
 
 
 @pytest.mark.parametrize(

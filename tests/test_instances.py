@@ -27,6 +27,7 @@ from tokenjump import (
     serialize_instance,
     serialize_report,
 )
+from tokenjump.graph import bitset_index
 from tokenjump.instances import KNOWN_RULES, infeasibility, rules_to_json
 
 import reference
@@ -124,6 +125,76 @@ def test_parse_error_carries_line_number():
         assert exc.line == 3
     else:
         pytest.fail("expected a parse error")
+
+
+@st.composite
+def mutated_instance_texts(draw):
+    """A planted ISR or DSR instance's text with a few lines dropped,
+    duplicated, swapped or repeated, tokens swapped for bad or out-of-range
+    integers, comments and blank lines put in, and mixed line breaks and
+    whitespace."""
+    problem = draw(st.sampled_from([Problem.ISR, Problem.DSR]))
+    n = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 10_000))
+    g = gen_random_degenerate(n, draw(st.integers(1, 2)), seed)
+    if problem is Problem.ISR:
+        inst = plant_isr_instance(g, draw(st.integers(1, 3)), seed)
+        inst = inst or plant_isr_instance(g, 1, seed)
+    else:
+        inst = plant_dsr_instance(g, draw(st.integers(1, 3)), seed)
+        inst = inst or plant_dsr_instance(g, n, seed)
+    lines = serialize_instance(inst).splitlines()
+    junk = st.sampled_from(["x", "2.5", "", "0", "-1", str(n), str(n + 1), "99999999999", "١"])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        kind = draw(st.sampled_from(["drop", "twice", "swap", "edge", "token", "comment"]))
+        if not lines and kind != "comment":
+            continue
+        if kind == "drop":
+            del lines[at]
+        elif kind == "twice":
+            lines.insert(at, lines[at])
+        elif kind == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif kind == "edge":
+            edges = [line for line in lines if line.startswith("e ")]
+            if edges:
+                u, v = draw(st.sampled_from(edges)).split()[1:]
+                lines.insert(at, draw(st.sampled_from([f"e {u} {v}", f"e {v} {u}"])))
+        elif kind == "token":
+            parts = lines[at].split()
+            if parts:
+                parts[draw(st.integers(0, len(parts) - 1))] = draw(junk)
+                lines[at] = " ".join(parts)
+        else:
+            lines.insert(at, draw(st.sampled_from(["c note", "# 1 2", "", "  \t", "cx"])))
+    space = draw(st.sampled_from([" ", "  ", "\t", " \t", "\xa0"]))
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + line.replace(" ", space) for line in lines]
+    text = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c"])).join(lines)
+    text += draw(st.sampled_from(["", "\n"]))
+    return text.encode() if draw(st.booleans()) else text
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(text), None
+    except InstanceFormatError as exc:
+        return None, (str(exc), exc.line)
+
+
+@settings(max_examples=400)
+@given(mutated_instance_texts())
+def test_parser_agrees_with_the_adjacency_set_parser(text):
+    """Against ``reference.parse_instance``, the parser before ISR graphs were
+    born as their bitset index: the same instance or the same error."""
+    ours, our_error = parsed_or_error(parse_instance, text)
+    theirs, their_error = parsed_or_error(reference.parse_instance, text)
+    assert our_error == their_error
+    if ours is not None:
+        assert ours == theirs
+        assert list(ours.graph.edges()) == list(theirs.graph.edges())
+        assert bitset_index(ours.graph) == bitset_index(theirs.graph)
 
 
 def test_instance_validation_messages():
