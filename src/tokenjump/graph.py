@@ -137,12 +137,8 @@ class Graph:
     def neighbor_set(self, v: int) -> frozenset[int]:
         adj = self._adj
         if adj is None:
-            verts, mask, out = self._index[0], self._mask(v), []
-            while mask:
-                low = mask & -mask
-                out.append(verts[low.bit_length() - 1])
-                mask ^= low
-            return frozenset(out)
+            verts = self._index[0]
+            return frozenset(verts[i] for i in set_bits(self._mask(v)))
         try:
             return adj[v]
         except KeyError:
@@ -169,15 +165,11 @@ class Graph:
         if self._adj is not None:
             return Graph._of({u: self._adj[u] & kept for u in order})
         verts, pos, nbr = self._index
+        within = mask_of(pos, order)
         new_pos = {v: i for i, v in enumerate(order)}
-        new_nbr = []
-        for v in order:
-            mask = 0
-            for i in set_bits(nbr[pos[v]]):
-                j = new_pos.get(verts[i])
-                if j is not None:
-                    mask |= 1 << j
-            new_nbr.append(mask)
+        new_nbr = [
+            mask_of(new_pos, (verts[i] for i in set_bits(nbr[pos[v]] & within))) for v in order
+        ]
         return Graph._indexed(tuple(order), new_pos, new_nbr)
 
     def __eq__(self, other: object) -> bool:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from tokenjump import (
     Graph,
@@ -190,81 +190,27 @@ def test_derived_graphs_start_without_an_index():
 
 
 def test_kernelization_leaves_the_parsed_index_intact():
-    """The workspace edits its copy of the masks; the graph's index stays as built."""
-    inst = plant_isr_instance(gen_random_degenerate(600, 1, 1), 2, 1)
-    kern = kernelize_degenerate(inst)
-    assert kern.log.steps
-    g = inst.graph
-    assert bitset_index(g) == bitset_index(g, g.vertices)
-    h = kern.kernel.graph
-    assert bitset_index(h) == bitset_index(h, h.vertices)
-
-
-def isr_text(n, edges, k=1):
-    lines = [f"p isr {n} {len(edges)} {k}"] + [f"e {u + 1} {v + 1}" for u, v in edges]
-    return "\n".join(lines + ["s 1", "t 1"]) + "\n"
-
-
-def assert_same_graph(born_indexed, built):
-    """Every accessor of the two graphs answers alike."""
-    for g, h in ((born_indexed, built), (built, born_indexed)):
-        assert g == h and not g != h
-    assert (born_indexed.n, born_indexed.m) == (built.n, built.m)
-    assert born_indexed.vertices == built.vertices
-    assert born_indexed.vertex_set == built.vertex_set
-    for v in built.vertices:
-        assert born_indexed.degree(v) == built.degree(v)
-        assert born_indexed.neighbors(v) == built.neighbors(v)
-        assert born_indexed.neighbor_set(v) == built.neighbor_set(v)
-    assert list(born_indexed.edges()) == list(built.edges())
-    assert repr(born_indexed) == repr(built)
-
-
-@settings(max_examples=150)
-@given(st.data())
-def test_the_two_graph_forms_agree(data):
-    """An ISR-parsed graph, born as its bitset index, against the graph of
-    the same edges built as adjacency sets."""
-    n = data.draw(st.integers(1, 12))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    parsed = parse_instance(isr_text(n, edges)).graph
-    built = Graph(range(n), edges)
-    assert parsed._adj is None
-    assert_same_graph(parsed, built)
-    with pytest.raises(KeyError, match="vertex 12 not in graph"):
-        parsed.neighbor_set(12)
-    with pytest.raises(KeyError, match="vertex -1 not in graph"):
-        parsed.degree(-1)
-    assert bitset_index(parsed) == bitset_index(built)
-    for _ in range(3):
-        keep = data.draw(st.sets(st.integers(0, n - 1)))
-        sub = parsed.induced_subgraph(keep)
-        assert sub._adj is None
-        assert_same_graph(sub, built.induced_subgraph(keep))
-        assert bitset_index(sub) == bitset_index(built.induced_subgraph(keep))
-    assert parsed._adj is None
-    order = data.draw(st.permutations(range(n)))
-    assert bitset_index(parsed, order) == bitset_index(built, order)
-    assert parsed._adj == built._adj  # derived for the other order, and kept
-    assert_same_graph(parsed, built)
-
-
-def test_kernelization_leaves_a_parsed_graphs_masks_intact():
+    """The workspaces edit their copy of the masks; the graph's index stays as
+    built, whether the graph was born as adjacency sets or, parsed from ISR
+    text, as its index, and both give the same kernels."""
     inst = plant_isr_instance(gen_random_degenerate(600, 1, 1), 2, 1)
     parsed = parse_instance(serialize_instance(inst))
-    masks = list(parsed.graph._index[2])
-    kernels = [
-        kernelize_degenerate(parsed).kernel,
-        kernelize_quasiwide(parsed, QuasiWideParams())[0],
-    ]
-    assert parsed.graph._index[2] == masks and parsed.graph._adj is None
-    assert bitset_index(parsed.graph)[2] == bitset_index(inst.graph)[2]
-    expected = [kernelize_degenerate(inst).kernel, kernelize_quasiwide(inst, QuasiWideParams())[0]]
-    for kernel, want in zip(kernels, expected):
-        assert kernel.graph.n < 600 and kernel.graph._adj is None
-        assert kernel == want
-        assert bitset_index(kernel.graph) == bitset_index(want.graph)
+    assert parsed.graph._adj is None
+    masks = bitset_index(parsed.graph)[2]
+    kernels = []
+    for case in (inst, parsed):
+        kern = kernelize_degenerate(case)
+        kernels += [kern.kernel, kernelize_quasiwide(case, QuasiWideParams())[0]]
+        assert kern.log.steps
+        g = case.graph
+        assert bitset_index(g) == bitset_index(g, g.vertices)
+        assert bitset_index(g)[2] == masks
+    assert kernels[:2] == kernels[2:]
+    assert all(kernel.graph.n < 600 for kernel in kernels)
+    assert kernels[2].graph._adj is None and kernels[3].graph._adj is None
+    for kernel in kernels:
+        h = kernel.graph
+        assert bitset_index(h) == bitset_index(h, h.vertices)
 
 
 def test_induced_subgraph_rejects_an_unknown_vertex():

@@ -61,9 +61,22 @@ def test_parse_accepts_comments_and_bytes():
     assert parse_instance(text.encode()) == parse_instance(P4_TEXT)
 
 
+def assert_same_graph(g, h):
+    """Every accessor of the two graphs answers alike."""
+    assert g == h and h == g and not g != h
+    assert (g.n, g.m, g.vertices, g.vertex_set) == (h.n, h.m, h.vertices, h.vertex_set)
+    for v in h.vertices:
+        assert (g.degree(v), g.neighbors(v)) == (h.degree(v), h.neighbors(v))
+        assert g.neighbor_set(v) == h.neighbor_set(v)
+    assert list(g.edges()) == list(h.edges())
+    assert repr(g) == repr(h)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_parsed_graph_equals_the_graph_of_its_edges(data):
+    """An ISR-parsed graph, born as its bitset index, answers as the graph of
+    the same edges built as adjacency sets, and so do their induced subgraphs."""
     n = data.draw(st.integers(1, 12))
     pairs = list(itertools.combinations(range(n), 2))
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -71,8 +84,28 @@ def test_parsed_graph_equals_the_graph_of_its_edges(data):
     text = f"p isr {n} {len(edges)} 1\n" + "".join(lines) + "s 1\nt 1\n"
     graph = parse_instance(text).graph
     expected = Graph(range(n), edges)
-    assert graph == expected
-    assert list(graph.edges()) == list(expected.edges())
+    assert graph._adj is None
+    assert_same_graph(graph, expected)
+    assert bitset_index(graph) == bitset_index(expected)
+    if pairs:
+        other = Graph(range(n), set(edges) ^ {data.draw(st.sampled_from(pairs))})
+        assert graph != other and other != graph
+    for v in (-1, n):
+        with pytest.raises(KeyError, match=f"vertex {v} not in graph"):
+            graph.degree(v)
+        with pytest.raises(KeyError, match=f"vertex {v} not in graph"):
+            graph.neighbor_set(v)
+    for _ in range(3):
+        keep = data.draw(st.sets(st.integers(0, n - 1)))
+        sub, want = graph.induced_subgraph(keep), expected.induced_subgraph(keep)
+        assert sub._adj is None
+        assert_same_graph(sub, want)
+        assert bitset_index(sub) == bitset_index(want)
+    assert graph._adj is None
+    order = data.draw(st.permutations(range(n)))
+    assert bitset_index(graph, order) == bitset_index(expected, order)
+    assert graph._adj == expected._adj  # derived for the other order, and kept
+    assert_same_graph(graph, expected)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +225,7 @@ def test_parser_agrees_with_the_adjacency_set_parser(text):
     theirs, their_error = parsed_or_error(reference.parse_instance, text)
     assert our_error == their_error
     if ours is not None:
+        assert (ours.graph._adj is None) == (ours.problem is Problem.ISR)  # DSR is set-born
         assert ours == theirs
         assert list(ours.graph.edges()) == list(theirs.graph.edges())
         assert bitset_index(ours.graph) == bitset_index(theirs.graph)
