@@ -31,7 +31,7 @@ REASON_BUDGET = "state budget exceeded"
 
 # The parser builds all n vertices of the header, with or without edges.  An
 # isolated vertex costs about 0.1 kB (0.16 kB at peak) and 0.2 us in an ISR
-# graph's bitset index, and 0.3 kB (0.4 kB at peak) and 0.7 us in a DSR
+# graph's bitset index, and 0.3 kB (0.4 kB at peak) and 0.6 us in a DSR
 # graph's adjacency sets (n = 100,000, Python 3.11.7), so a header alone
 # could exhaust memory.
 MAX_VERTICES = 100_000
