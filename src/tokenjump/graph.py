@@ -150,6 +150,24 @@ class Graph:
     def closed_neighbor_set(self, v: int) -> frozenset[int]:
         return self.neighbor_set(v) | {v}
 
+    def least_edge_in(self, s: frozenset[int]) -> tuple[int, ...]:
+        """The least vertex of ``s`` with a neighbor in ``s`` and its least
+        such neighbor; () when ``s`` is independent."""
+        adj = self._adj
+        if adj is not None:
+            for u in sorted(s):
+                inside = adj[u] & s
+                if inside:
+                    return u, min(inside)
+            return ()
+        verts, pos, nbr = self._index
+        within = mask_of(pos, s)
+        for i in set_bits(within):
+            inside = nbr[i] & within
+            if inside:
+                return verts[i], verts[(inside & -inside).bit_length() - 1]
+        return ()
+
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in self.vertices:
             for v in self.neighbors(u):

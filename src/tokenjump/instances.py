@@ -78,11 +78,7 @@ def infeasibility(graph: Graph, problem: Problem, s: frozenset[int]) -> tuple[in
     ``s`` miss.
     """
     if problem is Problem.ISR:
-        for u in sorted(s):
-            inside = graph.neighbor_set(u) & s
-            if inside:
-                return u, min(inside)
-        return ()
+        return graph.least_edge_in(s)
     missing = graph.vertex_set.difference(s, *map(graph.neighbor_set, s))
     return (min(missing),) if missing else ()
 
@@ -199,21 +195,37 @@ def _ints(parts: list[str], line_no: int) -> list[int]:
         raise _int_error(parts, line_no) from None
 
 
+def _first_edge_line(lines: list[str], u: int, v: int) -> int:
+    """The number of the first of ``lines`` that reads as edge (u, v).
+
+    Only a duplicate edge needs it: every line tagged ``e`` before the
+    duplicate was read as an edge without error.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if parts[:1] == ["e"] and (int(parts[1]), int(parts[2])) == (u, v):
+            return line_no
+
+
 def parse_instance(data: str | bytes) -> Instance:
     """The instance in ``data``; ``InstanceFormatError`` names the first fault.
 
-    An ISR graph is built as its bitset index, a DSR graph as adjacency sets
-    (see ``graph``).
+    One pass over the lines stores each edge where it is read: an ISR graph
+    into its neighbor masks, born as its bitset index, and a DSR graph into
+    adjacency sets (see ``graph``).
     """
     data = _decode(data, InstanceFormatError)
+    lines = data.splitlines()
     header: tuple[Problem, int, int, int] | None = None
-    edge_lines: dict[tuple[int, int], int] = {}  # file edge -> its line
+    nbr: list[int] | None = None  # ISR: bit w of nbr[u] for each edge {u, w}
+    adj: list[set[int]] | None = None  # DSR
+    edges = 0
     source: list[int] | None = None
     target: list[int] | None = None
 
-    for line_no, raw in enumerate(data.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
-        if not parts or parts[0][0] in "#c":
+        if not parts:
             continue
         tag = parts[0]
         if tag == "e" and header is not None:
@@ -227,11 +239,23 @@ def parse_instance(data: str | bytes) -> Instance:
                 raise InstanceFormatError(
                     f"edge ({u}, {v}) must satisfy 1 <= u < v <= n", line_no
                 )
-            first = edge_lines.setdefault((u, v), line_no)
-            if first != line_no:
+            if nbr is not None:
+                row, bit = nbr[u - 1], 1 << v - 1
+                seen_edge = row & bit
+                nbr[u - 1] = row | bit
+                nbr[v - 1] |= 1 << u - 1
+            else:
+                seen_edge = v - 1 in adj[u - 1]
+                adj[u - 1].add(v - 1)
+                adj[v - 1].add(u - 1)
+            if seen_edge:
+                first = _first_edge_line(lines, u, v)
                 raise InstanceFormatError(
                     f"duplicate edge ({u}, {v}), first seen on line {first}", line_no
                 )
+            edges += 1
+            continue
+        if tag[0] in "#c":  # tested after the edge branch: most lines are edges
             continue
         if tag == "p":
             if header is not None:
@@ -252,6 +276,10 @@ def parse_instance(data: str | bytes) -> Instance:
             if k < 1:
                 raise InstanceFormatError("k must be >= 1", line_no)
             header = (Problem(parts[1]), n, m, k)
+            if header[0] is Problem.ISR:  # every ISR layer reads the bitset index only
+                nbr = [0] * n
+            else:
+                adj = [set() for _ in range(n)]
         elif header is None:
             raise InstanceFormatError(f"{tag!r} line before the problem line", line_no)
         elif tag in ("s", "t"):
@@ -275,24 +303,18 @@ def parse_instance(data: str | bytes) -> Instance:
     if header is None:
         raise InstanceFormatError("missing problem line")
     problem, n, m, k = header
-    if len(edge_lines) != m:
-        raise InstanceFormatError(f"expected {m} edge lines, found {len(edge_lines)}")
+    if edges != m:
+        raise InstanceFormatError(f"expected {m} edge lines, found {edges}")
     if source is None:
         raise InstanceFormatError("missing source line")
     if target is None:
         raise InstanceFormatError("missing target line")
-    if problem is Problem.ISR:  # every ISR layer reads the bitset index only
-        nbr = [0] * n
-        for u, v in edge_lines:
-            nbr[u - 1] |= 1 << v - 1
-            nbr[v - 1] |= 1 << u - 1
+    if nbr is not None:
         graph = Graph._of_masks(nbr)
     else:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_lines:
-            adj[u - 1].append(v - 1)
-            adj[v - 1].append(u - 1)
-        graph = Graph._of({v: frozenset(ns) for v, ns in enumerate(adj)})
+        for v, ns in enumerate(adj):  # in place: each set is freed as its frozenset is made
+            adj[v] = frozenset(ns)
+        graph = Graph._of(dict(enumerate(adj)))
     try:
         return Instance(problem, graph, k, frozenset(source), frozenset(target))
     except ValueError as exc:

@@ -183,6 +183,10 @@ def test_verify_names_the_least_undominated_vertex():
 
 
 def test_is_feasible_matches_pairwise_and_cover_checks():
+    """The ISR pair is the least vertex of s with a neighbor in s and its
+    least such neighbor, on a set-born graph, on the same graph parsed from
+    text (index-born) and on an index-born subgraph whose ids are not dense
+    (vertex v at id 2v, the odd ids dropped with their edges)."""
     rng = random.Random(17)
     for _ in range(300):
         n = rng.randint(1, 12)
@@ -190,12 +194,26 @@ def test_is_feasible_matches_pairwise_and_cover_checks():
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         g = Graph(range(n), edges)
         s = frozenset(v for v in range(n) if rng.random() < 0.4)
-        independent = not any(e in edges for e in itertools.combinations(sorted(s), 2))
+        pair = min((e for e in itertools.combinations(sorted(s), 2) if e in edges), default=())
         covered = all(
             v in s or any((min(u, v), max(u, v)) in edges for u in s) for v in range(n)
         )
-        assert (infeasibility(g, Problem.ISR, s) == ()) is independent
+        assert infeasibility(g, Problem.ISR, s) == pair
+        assert g._index is None  # a set-born graph builds no index for the check
         assert (infeasibility(g, Problem.DSR, s) == ()) is covered
+
+        lines = [f"e {u + 1} {v + 1}" for u, v in edges]
+        parsed = parse_instance("\n".join([f"p isr {n} {len(edges)} 1", *lines, "s 1", "t 1"]))
+        assert parsed.graph._adj is None
+        assert infeasibility(parsed.graph, Problem.ISR, s) == pair
+
+        spread = [(2 * u, 2 * v) for u, v in edges] + [(2 * v, 2 * v + 1) for v in range(n)]
+        lines = [f"e {u + 1} {v + 1}" for u, v in sorted(spread)]
+        text = "\n".join([f"p isr {2 * n} {len(spread)} 1", *lines, "s 2", "t 2"])
+        sub = parse_instance(text).graph.induced_subgraph(range(0, 2 * n, 2))
+        assert sub._adj is None and sub.vertices == tuple(range(0, 2 * n, 2))
+        doubled = tuple(2 * v for v in pair)
+        assert infeasibility(sub, Problem.ISR, frozenset(2 * v for v in s)) == doubled
 
 
 def test_verify_rejects_unknown_vertex():

@@ -144,11 +144,28 @@ def test_parse_errors(mangle, fragment):
         parse_instance(mangle(P4_TEXT))
 
 
-def test_duplicate_edge_names_the_line_it_was_first_seen_on():
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        (P4_TEXT.replace("e 3 4", "e 1 2"), "duplicate edge (1, 2), first seen on line 2", 4),
+        (
+            "p dsr 3 3 1\nc a star\ne 1 2\ne 1 3\ne 1 2\ns 1\nt 1\n",
+            "duplicate edge (1, 2), first seen on line 3",
+            5,
+        ),
+        (
+            "p isr 4 3 2\r\n\te\t2 \t3\r\ne 1 2\r\n e 2 3\r\ns 1 3\r\nt 2 4\r\n",
+            "duplicate edge (2, 3), first seen on line 2",
+            4,
+        ),
+    ],
+    ids=["isr", "dsr", "tabs-crlf"],
+)
+def test_duplicate_edge_names_the_line_it_was_first_seen_on(text, message, line):
     with pytest.raises(InstanceFormatError) as info:
-        parse_instance(P4_TEXT.replace("e 3 4", "e 1 2"))
-    assert str(info.value) == "line 4: duplicate edge (1, 2), first seen on line 2"
-    assert info.value.line == 4
+        parse_instance(text)
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line
 
 
 def test_parse_error_carries_line_number():
@@ -191,7 +208,8 @@ def mutated_instance_texts(draw):
             other = draw(st.integers(0, len(lines) - 1))
             lines[at], lines[other] = lines[other], lines[at]
         elif kind == "edge":
-            edges = [line for line in lines if line.startswith("e ")]
+            # a "token" mutation may have blanked one of an edge line's tokens
+            edges = [line for line in lines if line.startswith("e ") and len(line.split()) == 3]
             if edges:
                 u, v = draw(st.sampled_from(edges)).split()[1:]
                 lines.insert(at, draw(st.sampled_from([f"e {u} {v}", f"e {v} {u}"])))
