@@ -88,9 +88,15 @@ def _int_range(lo: int, hi: int | None = None):
 _positive, _non_negative = _int_range(1), _int_range(0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+    """The top-level parser; each command's own parser goes into ``commands``."""
     parser = _Parser(prog="tokenjump", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {} if commands is None else commands
+
+    def command(name, help):
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
 
     def add_input(p):
         p.add_argument("instance", nargs="?", help="instance path (default: stdin)")
@@ -106,25 +112,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-deletions", type=_non_negative, default=defaults.max_deletions)
         p.add_argument("--search-budget", type=_positive, default=defaults.search_budget)
 
-    p = sub.add_parser("solve", help="decide an instance and emit a report")
+    p = command("solve", "decide an instance and emit a report")
     add_input(p)
     p.add_argument("--strategy", choices=["auto", "quasiwide", "oracle"], default="auto")
     p.add_argument("--state-budget", type=_positive, default=DEFAULT_STATE_BUDGET)
     add_quasiwide_flags(p)
     add_out(p)
 
-    p = sub.add_parser("kernelize", help="emit the kernel instance and rule log")
+    p = command("kernelize", "emit the kernel instance and rule log")
     add_input(p)
     p.add_argument("--strategy", choices=["auto", "quasiwide"], default="auto")
     add_quasiwide_flags(p)
     add_out(p)
 
-    p = sub.add_parser("verify", help="check a report's sequence against an instance")
+    p = command("verify", "check a report's sequence against an instance")
     p.add_argument("instance", help="instance path")
     p.add_argument("report", nargs="?", help="report path (default: stdin)")
     add_out(p)
 
-    p = sub.add_parser("gen", help="generate a random planted instance")
+    p = command("gen", "generate a random planted instance")
     p.add_argument("--n", type=_int_range(1, MAX_VERTICES), required=True)
     p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--k", type=_positive, required=True)
@@ -132,24 +138,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=["isr", "dsr"], default="isr")
     add_out(p)
 
-    p = sub.add_parser("convert", help="transform an ISR instance into a DSR gadget")
+    p = command("convert", "transform an ISR instance into a DSR gadget")
     add_input(p)
     add_out(p)
 
-    p = sub.add_parser("stats", help="print structural statistics of an instance")
+    p = command("stats", "print structural statistics of an instance")
     add_input(p)
     add_out(p)
 
     return parser
 
 
-_PARSER = build_parser()  # argparse parsers can be reused across calls
 # Each command's own parser, which parses its arguments the way the
 # top-level parser would hand them on, in about half the time.
-_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = next(
-    action.choices for action in _PARSER._actions
-    if isinstance(action, argparse._SubParsersAction)
-)
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
+_PARSER = build_parser(_COMMAND_PARSERS)  # argparse parsers can be reused across calls
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

@@ -9,9 +9,10 @@ certificate that can be re-checked by replaying the log: the core and the
 
 Both ISR kernels, this one and the scattered-set kernel in ``quasiwide``,
 reduce one ``Workspace``: a bitset copy of the graph built once per
-kernelization and updated only around each deleted vertex.  The twin groups,
-the degeneracy and the low-degree vertices are maintained, not recomputed,
-so a deletion costs time near the deleted vertex, not in the whole graph.
+kernelization and updated only around each deleted vertex.  The degeneracy
+and the low-degree vertices are maintained, and the twins of a vertex w
+whose neighborhood changed are sought in N[w] & N[y], y its least neighbor,
+which holds them all; so a deletion costs time near the deleted vertex.
 The immutable ``Graph`` of the kernel is built once, at the end, by
 replaying the log against the input graph.
 """
@@ -67,12 +68,13 @@ class Workspace:
     """A graph being reduced: bitsets edited in place, and the log so far.
 
     Holds the ascending vertex ids, their bit positions, the open neighbor
-    masks, the masks of live and anchor positions, and the live non-anchor
-    positions grouped by closed neighborhood mask.  ``delete`` clears the
-    deleted bit from its neighbors' masks and re-keys their groups; rules
-    that keep more state extend it.  Both sunflower rules certify and delete
-    through ``delete_petal``.  Every position starts out re-keyed, so the
-    first ``remove_twins`` reads every group.
+    masks, and the masks of live, anchor and re-keyed positions, the
+    non-anchors whose closed neighborhoods changed since the last
+    ``remove_twins``; it keeps no twin groups, which that call reads off the
+    masks near each re-keyed w and its least neighbor.  ``delete`` clears the
+    deleted bit from its neighbors' masks and re-keys them; rules that keep
+    more state extend it.  Both sunflower rules certify and delete through
+    ``delete_petal``.  Every non-anchor starts out re-keyed.
     """
 
     def __init__(self, graph: Graph, anchors: frozenset[int]) -> None:
@@ -81,8 +83,7 @@ class Workspace:
         self.alive = (1 << len(self.verts)) - 1
         self.anchor_mask = mask_of(self.pos, anchors)
         self.log = ReductionLog()
-        self._rekeyed = list(set_bits(self.alive & ~self.anchor_mask))
-        self._groups = closed_cells(self.nbr, self._rekeyed, self.alive)
+        self._rekeyed = self.alive & ~self.anchor_mask
 
     def delete(self, i: int, step: ReductionStep) -> int:
         """Delete position i, logging ``step``; returns i's neighbor mask."""
@@ -91,14 +92,9 @@ class Workspace:
         nb = self.nbr[i]
         self.nbr[i] = 0
         self.alive ^= bit
-        self._ungroup(i, nb | bit)
         for w in set_bits(nb):
-            old = self.nbr[w]
-            self.nbr[w] = old ^ bit
-            if not self.anchor_mask >> w & 1:
-                self._ungroup(w, old | 1 << w)
-                self._groups.setdefault(self.nbr[w] | 1 << w, []).append(w)
-                self._rekeyed.append(w)
+            self.nbr[w] ^= bit
+        self._rekeyed |= nb & ~self.anchor_mask
         return nb
 
     def delete_petal(
@@ -124,13 +120,6 @@ class Workspace:
         self.delete(petals[0], step)
         return step
 
-    def _ungroup(self, i: int, key: int) -> None:
-        group = self._groups[key]
-        if len(group) == 1:
-            del self._groups[key]
-        else:
-            group.remove(i)
-
     def remove_twins(self) -> None:
         """Delete all closed twins outside the anchors but the least of each group.
 
@@ -145,18 +134,28 @@ class Workspace:
         make new twins only of a neighbor w1 of the deleted vertex, whose
         closed neighborhood changed, with some w2 whose closed neighborhood
         now equals it; so a call reads only the groups of positions re-keyed
-        since the last one, and the first call, every group.  Rules delete
-        only after the first call, as ``run`` orders them, so every re-keyed
-        position is live.
+        since the last one, and the first call, every group.
+
+        A twin u of a live re-keyed w has N[u] = N[w], which holds the least
+        neighbor y of w, so u lies in N[w] & N[y]; an isolated w has no twin.
+        One ``closed_cells`` call groups the non-anchor positions of those
+        meets.  No twins outlive a call, so each group of two or more holds a
+        re-keyed w, and all of it lies in w's meet: every cell of two or more
+        is a whole group.
         """
-        groups, nbr = self._groups, self.nbr
-        keys = {nbr[w] | 1 << w for w in self._rekeyed}
-        twins = sorted(sorted(groups[key]) for key in keys if len(groups[key]) > 1)
+        nbr, alive = self.nbr, self.alive
+        near = 0
+        for w in set_bits(self._rekeyed & alive):
+            nb = nbr[w]
+            if nb:
+                y = (nb & -nb).bit_length() - 1
+                near |= (nb | 1 << w) & (nbr[y] | 1 << y)
+        cells = closed_cells(nbr, set_bits(near & ~self.anchor_mask), alive)
         verts = self.verts
-        for survivor, *doomed in twins:
+        for survivor, *doomed in cells.values():
             for v in doomed:
                 self.delete(v, ReductionStep(RULE_TWIN, verts[v], {"survivor": verts[survivor]}))
-        self._rekeyed.clear()
+        self._rekeyed = 0
 
     def run(self, rule: Callable[[], Optional[ReductionStep]]) -> None:
         """Alternate twin removal and one deletion by ``rule`` until it finds none."""

@@ -12,7 +12,9 @@ their induced subgraphs, the ISR kernels: every ISR layer reads only that
 index.  Graphs built from vertices and edges (the generators, the DSR
 gadget), graphs of DSR instance text and their induced subgraphs are born
 as adjacency sets, which DSR's degree-ordered core index and its core
-cells read.  Either form answers every accessor.
+cells read.  Either form answers every accessor.  A set-born graph caches
+its ascending index; an index-born graph never holds sets, not even when
+it is indexed in another order.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ class Graph:
     Neighborhood accessors that return tuples are sorted ascending to keep
     downstream output deterministic.
 
-    A graph is born in one of two forms: adjacency sets (``_adj``), or its
-    ascending bitset index (``_index``, see ``bitset_index``).  The other
-    form is derived once, on first use, and kept.  The accessors answer from
-    the sets when they are present, else from the index, and
-    ``induced_subgraph`` keeps the form it reads.
+    A graph is born in one of two forms, adjacency sets (``_adj``) or its
+    ascending bitset index (``_index``, see ``bitset_index``), and keeps it:
+    the accessors answer from the form it holds, and ``induced_subgraph``
+    keeps that form.  A set-born graph caches its ascending index once it
+    is first asked for; an index-born graph never holds sets.
     """
 
     __slots__ = ("_adj", "_index")
@@ -84,15 +86,6 @@ class Graph:
         g._index = (verts, pos, nbr)
         return g
 
-    def _sets(self) -> dict[int, frozenset[int]]:
-        """The adjacency sets, derived from the index once if the graph has none."""
-        if self._adj is None:
-            verts, _, nbr = self._index
-            self._adj = {
-                v: frozenset(verts[i] for i in set_bits(mask)) for v, mask in zip(verts, nbr)
-            }
-        return self._adj
-
     def _ascending(self) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
         """The bitset index in ascending order, built from the sets once."""
         if self._index is None:
@@ -128,6 +121,10 @@ class Graph:
     def vertex_set(self) -> frozenset[int]:
         adj = self._adj
         return frozenset(adj if adj is not None else self._index[0])
+
+    def __contains__(self, v: object) -> bool:
+        adj = self._adj
+        return v in (adj if adj is not None else self._index[1])
 
     def degree(self, v: int) -> int:
         if self._adj is not None:
@@ -176,7 +173,7 @@ class Graph:
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         kept = frozenset(keep)
-        unknown = kept - self.vertex_set
+        unknown = [v for v in kept if v not in self]
         if unknown:
             raise KeyError(f"vertex {min(unknown)} not in graph")
         order = sorted(kept)
@@ -229,14 +226,7 @@ def _build_index(
     g: Graph, verts: tuple[int, ...]
 ) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
     pos = {v: i for i, v in enumerate(verts)}
-    adj = g._sets()
-    nbr = []
-    for v in verts:
-        mask = 0
-        for w in adj[v]:
-            mask |= 1 << pos[w]
-        nbr.append(mask)
-    return verts, pos, nbr
+    return verts, pos, [mask_of(pos, g.neighbor_set(v)) for v in verts]
 
 
 def degeneracy_core(nbr: list[int], alive: int) -> tuple[int, int]:

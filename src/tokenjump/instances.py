@@ -103,7 +103,7 @@ class Instance:
                 raise ValueError(
                     f"{name} set has {len(s)} vertices, expected k={self.k}"
                 )
-            unknown = s - self.graph.vertex_set
+            unknown = [v for v in s if v not in self.graph]
             if unknown:
                 raise ValueError(f"{name} set names unknown vertex {min(unknown)}")
             if infeasibility(self.graph, self.problem, s):

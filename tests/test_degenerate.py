@@ -7,6 +7,7 @@ from tokenjump import (
     Graph,
     Instance,
     Problem,
+    ReductionStep,
     Verdict,
     bfs_reconfig,
     gen_random_degenerate,
@@ -117,6 +118,55 @@ def test_twin_removal_matches_rescan_reference_on_corpora():
     insts = [inst for inst, _ in reference.isr_corpus()] + reference.sparse_corpus()
     for inst in insts:
         assert remove_twins(inst) == reference.remove_closed_twins(inst)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # Deleting 0 makes 1 the twin of 3, which 0 does not see; 3 lies in
+        # the closed neighborhood of 1's least neighbor, 2.
+        [(0, 1), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4)],
+        # Deleting 0 leaves the edge 1-2 isolated: 1's least neighbor is its twin.
+        [(0, 1), (0, 3), (1, 2)],
+    ],
+)
+def test_twin_removal_after_a_deletion_matches_rescan_reference(edges):
+    """A deletion re-keys the deleted vertex's neighbors, and the next twin
+    removal finds their new twins, as a rescan of the whole graph does."""
+    n = 1 + max(map(max, edges))
+    g = Graph(range(n + 1), edges)  # n: an isolated anchor
+    inst = Instance(Problem.ISR, g, 1, frozenset({n}), frozenset({n}))
+    ws = Workspace(g, inst.anchors)
+    ws.remove_twins()
+    assert not ws.log
+    ws.delete(ws.pos[0], ReductionStep("sunflower-degenerate", 0, {}))
+    ws.remove_twins()
+    _, want = reference.remove_closed_twins(inst.with_graph(g.induced_subgraph(range(1, n + 1))))
+    assert want.steps and ws.log.steps[1:] == want.steps
+
+
+def test_twin_removal_reads_two_positions_per_rekeyed_one_on_a_star(monkeypatch):
+    """On K_{1,400} each leaf deletion re-keys the hub alone, and the next
+    twin removal groups the hub and its least leaf, not all of its leaves."""
+    g = Graph(range(401), [(0, v) for v in range(1, 401)])
+    inst = Instance(Problem.ISR, g, 2, frozenset({397, 398}), frozenset({399, 400}))
+    calls = []
+    remove_twins, closed_cells = Workspace.remove_twins, degenerate.closed_cells
+
+    def recorded_remove_twins(self):
+        calls.append([(self._rekeyed & self.alive).bit_count()])
+        remove_twins(self)
+
+    def recorded_closed_cells(nbr, members, within):
+        members = list(members)
+        calls[-1].append(len(members))
+        return closed_cells(nbr, members, within)
+
+    monkeypatch.setattr(Workspace, "remove_twins", recorded_remove_twins)
+    monkeypatch.setattr(degenerate, "closed_cells", recorded_closed_cells)
+    assert kernelize_degenerate(inst).log
+    assert calls[0] == [397, 397] and len(calls) > 200
+    assert all(len(call) == 2 and call[1] <= 2 * call[0] for call in calls[1:]), calls
 
 
 def test_kernel_logs_match_stored_run():

@@ -104,7 +104,7 @@ def test_parsed_graph_equals_the_graph_of_its_edges(data):
     assert graph._adj is None
     order = data.draw(st.permutations(range(n)))
     assert bitset_index(graph, order) == bitset_index(expected, order)
-    assert graph._adj == expected._adj  # derived for the other order, and kept
+    assert graph._adj is None
     assert_same_graph(graph, expected)
 
 
@@ -257,6 +257,25 @@ def test_instance_validation_messages():
         Instance(Problem.ISR, g, 1, frozenset({5}), frozenset({0}))
     with pytest.raises(ValueError, match="k must be >= 1"):
         Instance(Problem.ISR, g, 0, frozenset(), frozenset())
+
+
+def test_endpoint_and_subgraph_checks_build_no_vertex_set(monkeypatch):
+    """``Instance`` and ``induced_subgraph`` ask the graph whether it holds
+    each vertex, and build no frozenset of all its vertices for that."""
+
+    def no_vertex_set(graph):
+        raise AssertionError("vertex_set was built")
+
+    monkeypatch.setattr(Graph, "vertex_set", property(no_vertex_set))
+    g = parse_instance(P4_TEXT).graph
+    assert Instance(Problem.ISR, g, 2, frozenset({0, 3}), frozenset({1, 3})).graph is g
+    assert g.induced_subgraph({0, 2, 3}).vertices == (0, 2, 3)
+    with pytest.raises(ValueError, match="source set names unknown vertex 7"):
+        Instance(Problem.ISR, g, 2, frozenset({7, 9}), frozenset({1, 3}))
+    with pytest.raises(KeyError, match="vertex 7 not in graph"):
+        g.induced_subgraph({0, 9, 7})
+    for graph in (g, Graph(range(4))):
+        assert [v in graph for v in (-1, 0, 3, 4)] == [False, True, True, False]
 
 
 @st.composite
