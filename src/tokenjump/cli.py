@@ -40,7 +40,6 @@ from .instances import (
     parse_report,
     plant_dsr_instance,
     plant_isr_instance,
-    rules_to_json,
     serialize_instance,
     serialize_report,
 )
@@ -285,7 +284,7 @@ def _cmd_kernelize(args) -> int:
     payload = {
         "instance": serialize_instance(kernel),
         "kernel": kernel_to_json(kernel.graph, log),
-        "rules": rules_to_json(log),
+        "rules": log.steps,
     }
     _emit(layout_json(payload), args.out)
     return EX_OK

@@ -141,16 +141,22 @@ class Workspace:
         One ``closed_cells`` call groups the non-anchor positions of those
         meets.  No twins outlive a call, so each group of two or more holds a
         re-keyed w, and all of it lies in w's meet: every cell of two or more
-        is a whole group.
+        is a whole group.  When every live non-anchor is re-keyed, as on the
+        first call, the meets would cover all of them that have a neighbor,
+        so the rest is grouped directly; an isolated one is a cell alone.
         """
         nbr, alive = self.nbr, self.alive
-        near = 0
-        for w in set_bits(self._rekeyed & alive):
-            nb = nbr[w]
-            if nb:
-                y = (nb & -nb).bit_length() - 1
-                near |= (nb | 1 << w) & (nbr[y] | 1 << y)
-        cells = closed_cells(nbr, set_bits(near & ~self.anchor_mask), alive)
+        rest = alive & ~self.anchor_mask
+        near = rest
+        if rest & ~self._rekeyed:
+            near = 0
+            for w in set_bits(self._rekeyed & alive):
+                nb = nbr[w]
+                if nb:
+                    y = (nb & -nb).bit_length() - 1
+                    near |= (nb | 1 << w) & (nbr[y] | 1 << y)
+            near &= rest
+        cells = closed_cells(nbr, set_bits(near), alive)
         verts = self.verts
         for survivor, *doomed in cells.values():
             for v in doomed:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class Graph:
@@ -165,11 +165,28 @@ class Graph:
                 return verts[i], verts[(inside & -inside).bit_length() - 1]
         return ()
 
+    def higher_labels(self, labels: Sequence) -> Iterator[list]:
+        """For each vertex in ascending order, the labels of its higher
+        neighbors, ascending; ``labels[r]`` labels the vertex of rank r, its
+        place in ascending order.
+
+        Read from the form the graph holds: the set bits above each position
+        of the index, or each adjacency set's higher members, sorted.
+        """
+        adj = self._adj
+        if adj is None:
+            return (
+                [labels[j] for j in set_bits(row & -(2 << i))]
+                for i, row in enumerate(self._index[2])
+            )
+        by_id = dict(zip(adj, labels))
+        return ([by_id[w] for w in sorted(ns) if w > u] for u, ns in adj.items())
+
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in self.vertices:
-            for v in self.neighbors(u):
-                if u < v:
-                    yield (u, v)
+        verts = self.vertices
+        for u, higher in zip(verts, self.higher_labels(verts)):
+            for v in higher:
+                yield (u, v)
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         kept = frozenset(keep)

@@ -568,6 +568,26 @@ def scattered_valid(g: Graph, cert: ScatteredCertificate) -> bool:
     return not any(a & b for a, b in itertools.combinations(balls, 2))
 
 
+def rules_to_json(log: ReductionLog) -> list[dict]:
+    """The ``rules`` entries of a report as dicts, in 1-indexed file coordinates:
+    the encoder oracle for the rule lines that ``instances`` writes.
+
+    Every certificate value is a vertex or a list of vertices (see
+    ``ReductionStep``), shifted by its shape.
+    """
+    return [
+        {
+            "rule": step.rule,
+            "vertex": step.vertex + 1,
+            "certificate": {
+                key: value + 1 if isinstance(value, int) else [v + 1 for v in value]
+                for key, value in step.certificate.items()
+            },
+        }
+        for step in log
+    ]
+
+
 def log_digest(runs) -> str:
     """sha256 over each run's steps (rule, vertex, certificate) and kernel vertices."""
     h = hashlib.sha256()

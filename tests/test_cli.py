@@ -27,10 +27,11 @@ from tokenjump import (
 )
 import tokenjump
 from tokenjump import cli, degenerate, dsr
-from tokenjump.instances import kernel_to_json, rules_to_json
+from tokenjump.instances import kernel_to_json
 from tokenjump.cli import main
 
 import reference
+from reference import rules_to_json
 
 P4_TEXT = "p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n"
 C4_TEXT = "p isr 4 4 2\ne 1 2\ne 2 3\ne 3 4\ne 1 4\ns 1 3\nt 2 4\n"

@@ -27,10 +27,12 @@ from tokenjump import (
     serialize_instance,
     serialize_report,
 )
+from tokenjump.cli import main
 from tokenjump.graph import bitset_index
-from tokenjump.instances import KNOWN_RULES, infeasibility, rules_to_json
+from tokenjump.instances import KNOWN_RULES, infeasibility
 
 import reference
+from reference import rules_to_json
 
 P4_TEXT = "p isr 4 3 2\ne 1 2\ne 2 3\ne 3 4\ns 1 3\nt 2 4\n"
 
@@ -194,7 +196,9 @@ def mutated_instance_texts(draw):
         inst = plant_dsr_instance(g, draw(st.integers(1, 3)), seed)
         inst = inst or plant_dsr_instance(g, n, seed)
     lines = serialize_instance(inst).splitlines()
-    junk = st.sampled_from(["x", "2.5", "", "0", "-1", str(n), str(n + 1), "99999999999", "١"])
+    junk = st.sampled_from(
+        ["x", "2.5", "", "0", "-1", str(n), str(n + 1), "99999999999", "١", "01", "+1", "1_0"]
+    )
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(lines) - 1)) if lines else 0
         kind = draw(st.sampled_from(["drop", "twice", "swap", "edge", "token", "comment"]))
@@ -296,6 +300,7 @@ def test_serialize_parse_round_trip(inst):
     assert inst is not None
     again = parse_instance(serialize_instance(inst))
     assert again == inst
+    assert serialize_instance(again) == serialize_instance(inst)
 
 
 def test_serialize_renumbers_sparse_ids_with_map_comments():
@@ -375,13 +380,27 @@ def test_replay_matches_deleting_step_by_step():
     assert replay_reductions(inst.graph, kern.log) == g == kern.kernel.graph
 
 
-def test_rules_to_json_shifts_every_certificate_to_file_coordinates():
+def written_rules(text: str) -> list[str]:
+    """The ``rules`` entries of a written report or payload, one line each."""
+    count = len(json.loads(text)["rules"])
+    if not count:
+        return []
+    lines = text.splitlines()
+    start = lines.index('  "rules": [') + 1
+    assert lines[start + count].startswith("  ]")
+    return [line.removeprefix("    ").removesuffix(",") for line in lines[start : start + count]]
+
+
+def test_rules_to_json_shifts_every_certificate_to_file_coordinates(capsys, tmp_path):
+    """The oracle's dicts shift every certificate, and each rule line that
+    ``serialize_report`` and ``kernelize`` write is the compact JSON of its dict."""
     forest = plant_isr_instance(gen_random_degenerate(250, 1, 1), 2, 1)
     star = Graph(range(41), [(0, v) for v in range(1, 41)])
     hub = Instance(Problem.ISR, star, 2, {1, 2}, {3, 4})
+    dsr = reference.dsr_corpus()[:40]
     steps = kernelize_degenerate(forest).log.steps
     steps += kernelize_quasiwide(hub, QuasiWideParams())[1].steps  # each round deletes B = {0}
-    steps += [s for inst in reference.dsr_corpus()[:40] for s in kernelize_dsr(inst)[1].steps]
+    steps += [s for inst in dsr for s in kernelize_dsr(inst)[1].steps]
     assert {step.rule for step in steps} == set(KNOWN_RULES)
     assert any(step.rule == "quasi-wide" and step.certificate["deletions"] for step in steps)
     log = ReductionLog(steps)
@@ -391,6 +410,15 @@ def test_rules_to_json_shifts_every_certificate_to_file_coordinates():
         for key, value in step.certificate.items():
             shifted = value + 1 if isinstance(value, int) else [v + 1 for v in value]
             assert rendered["certificate"][key] == shifted
+    expected = [json.dumps(rule, separators=(",", ":")) for rule in rules_to_json(log)]
+    assert written_rules(serialize_report(bfs_reconfig(forest), log, forest.graph)) == expected
+    written = []
+    path = tmp_path / "instance.txt"
+    for inst, strategy in [(forest, "auto"), (hub, "quasiwide")] + [(d, "auto") for d in dsr]:
+        path.write_text(serialize_instance(inst))
+        assert main(["kernelize", str(path), "--strategy", strategy]) == 0
+        written += written_rules(capsys.readouterr().out)
+    assert written == expected
 
 
 def test_serialize_report_yes_round_trips():
